@@ -32,7 +32,7 @@ from .errors import (
     ParamsMismatchError,
     SizeBudgetError,
 )
-from .exact_linalg import ExactMatrix, mat_mul, mat_vec, nullspace, rank, vstack
+from .exact_linalg import ExactMatrix, nullspace, rank
 from .fileformat import read_function, write_function
 from .johnson import (
     JohnsonParams,

@@ -74,6 +74,13 @@ def _parse_pairs(text: str) -> PairingConfig:
     return PairingConfig(tuple(pairs))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _vertex_label(x: int) -> str:
     return "{" + ",".join(str(c) for c in vertex_elements(x)) + "}"
 
@@ -85,13 +92,13 @@ def _write_function_output(f, lambda_index, out_path) -> None:
         sys.stdout.write(dumps_document(function_to_document(f, lambda_index)))
 
 
-def _report_payload(report: SearchReport) -> dict:
+def _report_payload(report: SearchReport, dim: int) -> dict:
     return {
         "n": report.params.n,
         "w": report.params.w,
         "i": report.i,
         "lambda": report.lam,
-        "dim": None,
+        "dim": dim,
         "algorithm": report.algorithm,
         "min_support": report.min_support,
         "bound": report.bound,
@@ -223,9 +230,7 @@ def cmd_minsupport(args) -> int:
     else:
         report = min_support_hyperplane(space, subset_budget, args.witness_cap, args.threads)
     if args.json:
-        payload = _report_payload(report)
-        payload["dim"] = space.dimension
-        sys.stdout.write(dumps_document(payload))
+        sys.stdout.write(dumps_document(_report_payload(report, space.dimension)))
     else:
         _print_report_human(report, space.dimension)
     if not report.proven_optimal:
@@ -329,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["bnb", "hyperplane", "both"], default="both")
     p.add_argument("--budget", type=int, help="node budget (bnb) / subset budget (hyperplane)")
     p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP, dest="witness_cap")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_minsupport)
 
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--max-w", type=int, dest="max_w")
     p.add_argument("--budget", type=int)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--csv", help="write CSV to this file instead of stdout")
     p.set_defaults(handler=cmd_table)
 

@@ -1,11 +1,13 @@
-"""Exact dense linear algebra over rationals: rank, nullspace, products.
+"""Exact dense linear algebra over rationals: rank and canonical nullspace.
 
-Integer matrices go through fraction-free (Bareiss-style) elimination with
-per-row content reduction, which keeps intermediate entries no larger than
-the corresponding minors; rational matrices fall back to plain Gauss-Jordan
-over Fractions. Nullspace bases are derived from the reduced echelon form,
-so they are canonical and reproducible bit for bit: the column for free
-column c has a 1 in position c and zeros in every other free position.
+IntEchelon is the package's one elimination engine: a fraction-free
+(Bareiss-style) row echelon over integer rows with push/pop, which the
+minimum-support oracles also drive directly. A rational row enters it
+through integer_row, which clears denominators and content; scaling a row
+leaves its row space alone, so rank and kernel are those of the rational
+matrix. Kernel bases are canonical and reproducible bit for bit: the vector
+for free column c is zero at every other free column, and nullspace scales
+it to 1 at c.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ class ExactMatrix:
     def row_lists(self) -> list[list[Fraction]]:
         return [self.row(r) for r in range(self.rows)]
 
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for x in self.data)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -77,245 +76,132 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def vstack(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
-    if top.cols != bottom.cols:
-        raise ParameterError("column counts differ")
-    return ExactMatrix(top.rows + bottom.rows, top.cols, top.data + bottom.data)
+def integer_row(row: Sequence[Fraction]) -> tuple[int, ...]:
+    """The row scaled by a positive rational to coprime integers (zero stays zero)."""
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
-def mat_vec(m: ExactMatrix, v: Sequence[Rational]) -> list[Fraction]:
-    """Exact product m @ v."""
-    if len(v) != m.cols:
-        raise ParameterError(f"vector length {len(v)} != cols {m.cols}")
-    vf = [Fraction(x) for x in v]
-    data = m.data
-    nc = m.cols
-    out = []
-    for r in range(m.rows):
-        base = r * nc
-        acc = Fraction(0)
-        for j in range(nc):
-            x = data[base + j]
+class IntEchelon:
+    """Incremental exact echelon over integer rows with push/pop semantics.
+
+    Stored rows are content-reduced and zero at the leading column (pivot) of
+    every row stored before them; pivot signs are left as they fall.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[tuple[int, ...]] = []
+        self.pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row) -> tuple[int, ...]:
+        """Reduce a row against the stored rows; () means dependent.
+
+        Each cross-multiplication first divides its two multipliers by their
+        gcd, which slows entry growth on wide rows; that and the content
+        division at the end are positive rescalings, so the reduced row is
+        the same as with plain cross-multiplication.
+        """
+        cur = list(row)
+        for stored, p in zip(self.rows, self.pivots):
+            f = cur[p]
+            if f:
+                sp = stored[p]
+                g = math.gcd(sp, f)
+                sp //= g
+                f //= g
+                cur = [sp * a - f * b for a, b in zip(cur, stored)]
+        g = 0
+        for x in cur:
             if x:
-                acc += x * vf[j]
-        out.append(acc)
-    return out
+                g = math.gcd(g, x)
+                if g == 1:
+                    break
+        if g == 0:
+            return ()
+        if g > 1:
+            cur = [x // g for x in cur]
+        return tuple(cur)
+
+    def push(self, reduced: tuple[int, ...]) -> None:
+        p = next(j for j, x in enumerate(reduced) if x)
+        self.rows.append(reduced)
+        self.pivots.append(p)
+
+    def pop(self) -> None:
+        self.rows.pop()
+        self.pivots.pop()
+
+    def kernel(self) -> list[tuple[int, ...]]:
+        """Canonical kernel basis of the stored rows, one vector per free column.
+
+        In increasing free-column order; each vector is coprime integers,
+        positive at its own free column and zero at every other one.
+        Sorted by pivot the stored rows are an echelon form, solved by
+        fraction-free back-substitution: the vector for free column fc is
+        zero at pivots beyond fc, and scaling it by the product of the
+        pivots before fc makes every division exact (Cramer's rule on the
+        triangular system).
+        """
+        order = sorted(range(len(self.rows)), key=self.pivots.__getitem__)
+        rows = [self.rows[k] for k in order]
+        piv_cols = [self.pivots[k] for k in order]
+        piv_set = set(piv_cols)
+        out = []
+        for fc in range(self.width):
+            if fc in piv_set:
+                continue
+            engaged = sum(1 for p in piv_cols if p < fc)
+            scale = math.prod(rows[i][piv_cols[i]] for i in range(engaged))
+            values = {fc: scale}
+            for i in reversed(range(engaged)):
+                row = rows[i]
+                s = row[fc] * scale
+                for j in range(i + 1, engaged):
+                    x = row[piv_cols[j]]
+                    if x:
+                        s += x * values[piv_cols[j]]
+                q, rem = divmod(-s, row[piv_cols[i]])
+                if rem:
+                    raise ArithmeticError("fraction-free back-substitution lost exactness")
+                values[piv_cols[i]] = q
+            g = math.gcd(*values.values())
+            if scale < 0:
+                g = -g
+            vec = [0] * self.width
+            for pos, val in values.items():
+                vec[pos] = val // g
+            out.append(tuple(vec))
+        return out
 
 
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.cols != b.rows:
-        raise ParameterError("inner dimensions differ")
-    bt = [b.column(c) for c in range(b.cols)]
-    flat: list[Fraction] = []
-    for r in range(a.rows):
-        row = a.row(r)
-        for col in bt:
-            flat.append(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)))
-    return ExactMatrix(a.rows, b.cols, flat)
+def _echelon_of(m: ExactMatrix) -> IntEchelon:
+    ech = IntEchelon(m.cols)
+    for r in range(m.rows):
+        reduced = ech.reduce(integer_row(m.row(r)))
+        if reduced:
+            ech.push(reduced)
+    return ech
 
 
 def rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.is_integer():
-        rows = [[x.numerator for x in m.row(r)] for r in range(m.rows)]
-        return len(_int_echelon(rows))
-    rows = m.row_lists()
-    return len(_frac_rref(rows))
+    return _echelon_of(m).rank
 
 
 def nullspace(m: ExactMatrix) -> ExactMatrix:
     """Canonical exact basis of {v : m @ v = 0}, one column per free column of the RREF."""
     nc = m.cols
-    if m.rows == 0 or nc == 0:
-        return ExactMatrix.identity(nc)
-    if m.is_integer():
-        rows = [[x.numerator for x in m.row(r)] for r in range(m.rows)]
-        piv_cols = _int_echelon(rows)
-        columns = _int_kernel_columns(rows, piv_cols, nc)
-    else:
-        rows = m.row_lists()
-        piv_cols = _frac_rref(rows)
-        columns = _frac_kernel_columns(rows, piv_cols, nc)
+    ech = _echelon_of(m)
+    piv_set = set(ech.pivots)
+    free = [c for c in range(nc) if c not in piv_set]
+    columns = [[Fraction(x, vec[fc]) for x in vec] for fc, vec in zip(free, ech.kernel())]
     d = len(columns)
     flat = [columns[j][i] for i in range(nc) for j in range(d)]
     return ExactMatrix(nc, d, flat)
-
-
-# -- integer (fraction-free) path -------------------------------------------
-
-def _row_content(row, start):
-    g = 0
-    for x in row[start:]:
-        if x:
-            g = math.gcd(g, x)
-            if g == 1:
-                return 1
-    return g
-
-
-def _int_echelon(rows: list[list[int]]) -> list[int]:
-    """Forward elimination in place; returns pivot columns.
-
-    Each elimination uses cross-multiplication followed by full content
-    reduction of the new row, so entries stay within the Bareiss minor bound.
-    Pivot selection is first nonzero in column order, which makes the result
-    deterministic.
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = -1
-        for k in range(r, nr):
-            if rows[k][c]:
-                pr = k
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        g = _row_content(prow, c)
-        if prow[c] < 0:
-            g = -g
-        if g != 1:
-            prow[c:] = [x // g for x in prow[c:]]
-        piv = prow[c]
-        ptail = prow[c:]
-        for k in range(r + 1, nr):
-            row = rows[k]
-            f = row[c]
-            if not f:
-                continue
-            new = [piv * a - f * b for a, b in zip(row[c:], ptail)]
-            g = 0
-            for x in new:
-                if x:
-                    g = math.gcd(g, x)
-                    if g == 1:
-                        break
-            if g > 1:
-                new = [x // g for x in new]
-            row[c:] = new
-        piv_cols.append(c)
-        r += 1
-    return piv_cols
-
-
-def _int_kernel_raw(rows, piv_cols, nc):
-    """Kernel of an integer echelon matrix via fraction-free back-substitution.
-
-    For free column fc the canonical kernel vector is zero at every other
-    free column and at pivots beyond fc; scaling it by the product of the
-    engaged pivots makes every back-substitution division exact. Yields
-    (fc, values, scale) triples: the exact column is values[pos] / scale.
-    """
-    piv_set = set(piv_cols)
-    for fc in range(nc):
-        if fc in piv_set:
-            continue
-        engaged = [i for i, p in enumerate(piv_cols) if p < fc]
-        scale = 1
-        for i in engaged:
-            scale *= rows[i][piv_cols[i]]
-        values = {fc: scale}
-        for i in reversed(engaged):
-            p = piv_cols[i]
-            row = rows[i]
-            s = row[fc] * scale
-            for j in engaged:
-                pj = piv_cols[j]
-                if pj > p:
-                    x = row[pj]
-                    if x:
-                        s += x * values[pj]
-            q, rem = divmod(-s, row[p])
-            if rem:
-                raise ArithmeticError("fraction-free back-substitution lost exactness")
-            values[p] = q
-        yield fc, values, scale
-
-
-def _int_kernel_columns(rows, piv_cols, nc):
-    columns = []
-    for fc, values, scale in _int_kernel_raw(rows, piv_cols, nc):
-        col = [Fraction(0)] * nc
-        for pos, val in values.items():
-            col[pos] = Fraction(val, scale)
-        columns.append(col)
-    return columns
-
-
-def int_nullspace_scaled(int_rows: list[list[int]], width: int) -> list[tuple[int, ...]]:
-    """Kernel basis of integer rows, each vector scaled to coprime integers.
-
-    Same canonical basis as nullspace, rescaled per column so the entry at
-    the column's free position is positive. Rows may be in any order.
-    """
-    if not int_rows:
-        return [tuple(1 if j == k else 0 for j in range(width)) for k in range(width)]
-    work = [list(r) for r in int_rows]
-    piv_cols = _int_echelon(work)
-    out = []
-    for fc, values, scale in _int_kernel_raw(work, piv_cols, width):
-        g = math.gcd(*values.values())
-        col = [0] * width
-        for pos, val in values.items():
-            col[pos] = val // g
-        out.append(tuple(col))
-    return out
-
-
-# -- rational fallback -------------------------------------------------------
-
-def _frac_rref(rows: list[list[Fraction]]) -> list[int]:
-    """Gauss-Jordan reduced echelon form in place; returns pivot columns."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = -1
-        for k in range(r, nr):
-            if rows[k][c]:
-                pr = k
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
-        prow = rows[r]
-        for k in range(nr):
-            if k == r:
-                continue
-            f = rows[k][c]
-            if f:
-                rows[k] = [a - f * b for a, b in zip(rows[k], prow)]
-        piv_cols.append(c)
-        r += 1
-    return piv_cols
-
-
-def _frac_kernel_columns(rows, piv_cols, nc):
-    piv_set = set(piv_cols)
-    columns = []
-    for fc in range(nc):
-        if fc in piv_set:
-            continue
-        col = [Fraction(0)] * nc
-        col[fc] = Fraction(1)
-        for i, p in enumerate(piv_cols):
-            if p < fc:
-                col[p] = -rows[i][fc]
-        columns.append(col)
-    return columns

@@ -34,6 +34,11 @@ def function_to_document(f: SparseFunction, lambda_index: int | None = None) -> 
     }
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not integers here, although bool subclasses int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def document_to_function(doc) -> tuple[SparseFunction, int | None]:
     if not isinstance(doc, dict):
         raise FunctionFileError("function file must be a JSON object")
@@ -44,14 +49,14 @@ def document_to_function(doc) -> tuple[SparseFunction, int | None]:
     if unknown:
         raise FunctionFileError(f"unknown fields {sorted(unknown)}")
     n, w = doc["n"], doc["w"]
-    if not (isinstance(n, int) and isinstance(w, int)):
+    if not (_is_int(n) and _is_int(w)):
         raise FunctionFileError("n and w must be integers")
     try:
         params = JohnsonParams(n, w)
     except Exception as exc:
         raise FunctionFileError(f"bad parameters: {exc}") from exc
     lam_index = doc.get("lambda_index")
-    if lam_index is not None and not isinstance(lam_index, int):
+    if lam_index is not None and not _is_int(lam_index):
         raise FunctionFileError("lambda_index must be an integer or null")
     if lam_index is not None and not 0 <= lam_index <= w:
         raise FunctionFileError(f"lambda_index {lam_index} out of range 0..{w}")
@@ -65,7 +70,7 @@ def document_to_function(doc) -> tuple[SparseFunction, int | None]:
         if not (isinstance(item, list) and len(item) == 2):
             raise FunctionFileError(f"bad entry {item!r}")
         r, s = item
-        if not isinstance(r, int) or not 0 <= r < nverts:
+        if not _is_int(r) or not 0 <= r < nverts:
             raise FunctionFileError(f"rank {r!r} out of range 0..{nverts - 1}")
         if r <= prev_rank:
             raise FunctionFileError("ranks must be strictly increasing")

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError
-from .exact_linalg import int_nullspace_scaled
+from .exact_linalg import IntEchelon, integer_row
 from .johnson import JohnsonParams, SparseFunction
 from .spectral import EigenspaceBasis, eigenspace_basis, is_eigenfunction
 
@@ -68,60 +69,7 @@ class SearchReport:
 
 def _scaled_int_rows(basis) -> list[tuple[int, ...]]:
     """Each basis row rescaled to coprime integers; zero sets are unchanged."""
-    rows = []
-    for r in range(basis.rows):
-        row = basis.row(r)
-        den = math.lcm(*(x.denominator for x in row)) if row else 1
-        ints = [int(x * den) for x in row]
-        g = math.gcd(*ints) if any(ints) else 1
-        rows.append(tuple(x // max(g, 1) for x in ints))
-    return rows
-
-
-class _IntEchelon:
-    """Incremental exact echelon over integer rows with push/pop semantics."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[tuple[int, ...]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, row) -> tuple[int, ...]:
-        """Reduce a row against the stored rows; () means dependent."""
-        cur = list(row)
-        for stored, p in zip(self.rows, self.pivots):
-            f = cur[p]
-            if f:
-                sp = stored[p]
-                cur = [sp * a - f * b for a, b in zip(cur, stored)]
-        g = 0
-        for x in cur:
-            if x:
-                g = math.gcd(g, x)
-                if g == 1:
-                    break
-        if g == 0:
-            return ()
-        if g > 1:
-            cur = [x // g for x in cur]
-        return tuple(cur)
-
-    def push(self, reduced: tuple[int, ...]) -> None:
-        p = next(j for j, x in enumerate(reduced) if x)
-        self.rows.append(reduced)
-        self.pivots.append(p)
-
-    def pop(self) -> None:
-        self.rows.pop()
-        self.pivots.pop()
-
-    def kernel(self) -> list[tuple[int, ...]]:
-        """Integer basis of the kernel of the stored rows (ambient dimension = width)."""
-        return int_nullspace_scaled([list(r) for r in self.rows], self.width)
+    return [integer_row(basis.row(r)) for r in range(basis.rows)]
 
 
 def _dot(a, b) -> int:
@@ -195,7 +143,7 @@ def min_support_bnb(
         raise ParameterError("eigenspace is empty; nothing to search")
     t0 = time.perf_counter()
     rows = _scaled_int_rows(basis)
-    ech = _IntEchelon(d)
+    ech = IntEchelon(d)
     pool = _WitnessPool(basis, witness_cap)
     stats = SearchStats()
     incumbent = upper_bound_hint if upper_bound_hint is not None else nverts + 1
@@ -309,6 +257,8 @@ def min_support_hyperplane(
     nverts, d = basis.rows, basis.cols
     if d < 2:
         raise ParameterError("instance shape unsupported; use bnb")
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
     total = math.comb(nverts, d - 1)
     if total > subset_budget:
         raise SizeBudgetError(
@@ -318,6 +268,8 @@ def min_support_hyperplane(
     rows = _scaled_int_rows(basis)
     stats = SearchStats()
     pool = _WitnessPool(basis, witness_cap)
+    # one forked process per chunk: never more than the machine has
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and total >= 4096:
         results = _hyperplane_parallel(rows, nverts, d, total, workers)
         for subsets_done, found in results:
@@ -353,7 +305,7 @@ def _hyperplane_scan(rows, nverts, d, start, stop):
     it = itertools.islice(itertools.combinations(range(nverts), d - 1), start, stop)
     for subset in it:
         done += 1
-        ech = _IntEchelon(d)
+        ech = IntEchelon(d)
         for r in subset:
             red = ech.reduce(rows[r])
             if red:

@@ -123,10 +123,14 @@ def adjacency_matrix(params: JohnsonParams, budget: int = DEFAULT_DENSE_BUDGET) 
 
 
 def eigenspace_basis(params: JohnsonParams, i: int, budget: int = DEFAULT_DENSE_BUDGET) -> EigenspaceBasis:
-    """Exact basis of the lambda_i eigenspace via nullspace(A - lambda_i I)."""
+    """Exact basis of the lambda_i eigenspace via nullspace(A - lambda_i I).
+
+    Bases are cached per (n, w, lambda); each call gets its own copy, so a
+    caller that writes into the returned matrix cannot change later results.
+    """
     lam = eigenvalue(params, i)
-    basis = _eigenspace_matrix(params.n, params.w, lam, budget)
-    return EigenspaceBasis(params, i, lam, basis)
+    cached = _eigenspace_matrix(params.n, params.w, lam, budget)
+    return EigenspaceBasis(params, i, lam, ExactMatrix(cached.rows, cached.cols, cached.data))
 
 
 @functools.lru_cache(maxsize=None)

@@ -99,6 +99,14 @@ def oracle_rank(rows) -> int:
     return rank
 
 
+def oracle_mat_vec(m, v) -> list[Fraction]:
+    """Exact product m @ v by the textbook sum over each row, for A @ N = 0 checks."""
+    return [
+        sum((Fraction(x) * Fraction(y) for x, y in zip(m.row(r), v)), Fraction(0))
+        for r in range(m.rows)
+    ]
+
+
 def _oracle_reduce_row(echelon, row):
     """Reduce an integer row against stored (row, pivot) pairs; None if dependent."""
     cur = list(row)

@@ -151,6 +151,22 @@ def test_usage_errors(capsys):
     assert "error[USAGE]" in err
 
 
+def test_threads_below_one_is_usage_error(capsys):
+    for argv in (["minsupport", "--n", "5", "--w", "2", "--i", "1"], ["table", "--max-n", "3"]):
+        for threads in ("0", "-3"):
+            code, out, err = invoke(capsys, argv + ["--threads", threads])
+            assert code == 2
+            assert out == ""
+            assert "--threads" in err
+
+
+def test_minsupport_json_reports_dim(capsys):
+    code, out, _ = invoke(capsys, ["minsupport", "--n", "5", "--w", "2", "--i", "1",
+                                   "--threads", "1", "--json"])
+    assert code == 0
+    assert json.loads(out)["dim"] == 4
+
+
 def test_bad_file_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 5, "w": 2, "entries": [[0, "2/4"]]}')
@@ -194,3 +210,12 @@ def test_table_marks_oversized_and_budget_cells(capsys):
     assert all(r[6] == "budget" for r in budget_rows)
     # small cells still prove within the tiny budget
     assert by_key[("4", "2", "2")][6] == "4" and by_key[("4", "2", "2")][8] == "ok"
+
+
+def test_boolean_fields_in_file_are_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text('{"n": 4, "w": true, "lambda_index": false, "entries": [[true, "1"]]}')
+    code, out, err = invoke(capsys, ["verify", "--func", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert "error[BAD_FILE]" in err

@@ -2,22 +2,16 @@
 
 from fractions import Fraction
 
-import pytest
-
 from johnson_eigen import (
     ExactMatrix,
     JohnsonParams,
-    ParameterError,
     adjacency_matrix,
-    mat_mul,
-    mat_vec,
     nullspace,
     rank,
-    vstack,
 )
-from johnson_eigen.exact_linalg import int_nullspace_scaled
+from johnson_eigen.exact_linalg import IntEchelon, integer_row
 
-from conftest import make_rng, oracle_rank, random_rational
+from conftest import make_rng, oracle_mat_vec, oracle_rank, random_rational
 
 
 def shifted_adjacency(params, lam):
@@ -49,17 +43,12 @@ def test_nullspace_examples():
     assert nullspace(m).cols == 5  # C(5,2) - C(5,1)
 
 
-def test_mat_vec_examples():
-    ident = ExactMatrix.identity(3)
-    v = [Fraction(1), Fraction(-2), Fraction(5, 3)]
-    assert mat_vec(ident, v) == v
-    assert mat_vec(ExactMatrix.zeros(2, 3), v) == [0, 0]
+def test_nullspace_examples_are_annihilated():
     m = shifted_adjacency(JohnsonParams(5, 2), 1)
     ns = nullspace(m)
+    assert ns.cols == 4
     for c in range(ns.cols):
-        assert mat_vec(m, ns.column(c)) == [0] * m.rows
-    with pytest.raises(ParameterError):
-        mat_vec(ident, [1, 2])
+        assert oracle_mat_vec(m, ns.column(c)) == [0] * m.rows
 
 
 def test_rank_matches_oracle_on_random_matrices():
@@ -80,7 +69,7 @@ def test_nullspace_properties_random():
         ns = nullspace(m)
         assert ns.cols == cols - rank(m)
         for c in range(ns.cols):
-            assert mat_vec(m, ns.column(c)) == [0] * rows
+            assert oracle_mat_vec(m, ns.column(c)) == [0] * rows
         if ns.cols:
             assert rank(ns) == ns.cols  # columns independent
 
@@ -129,34 +118,55 @@ def test_rref_preserves_row_space_membership():
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         r = rank(m)
         ns = nullspace(m)
-        stacked = vstack(m, ExactMatrix(ns.cols, m.cols, [
-            ns.column(c)[j] for c in range(ns.cols) for j in range(m.cols)
-        ]))
+        stacked = ExactMatrix.from_rows(m.row_lists() + [ns.column(c) for c in range(ns.cols)])
         assert rank(stacked) == r + ns.cols  # kernel vectors extend the row space fully
 
 
-def test_int_nullspace_scaled_matches_nullspace():
+def test_integer_row_clears_denominators_and_content():
+    assert integer_row([Fraction(1, 2), Fraction(-1, 3), Fraction(0)]) == (3, -2, 0)
+    assert integer_row([Fraction(4), Fraction(-6)]) == (2, -3)
+    assert integer_row([Fraction(0), Fraction(0)]) == (0, 0)
+    assert integer_row([]) == ()
+
+
+def _assert_engine_matches_oracle(ech, pushed, width):
+    assert ech.rank == oracle_rank(pushed) == len(pushed)
+    ns = nullspace(ExactMatrix(len(pushed), width, [x for row in pushed for x in row]))
+    kern = ech.kernel()
+    assert len(kern) == ns.cols
+    free = [c for c in range(width) if c not in set(ech.pivots)]
+    for k, fc in enumerate(free):
+        col = ns.column(k)
+        assert col[fc] == 1
+        # proportional to the canonical column, with a positive free entry
+        assert [Fraction(x, kern[k][fc]) for x in kern[k]] == col
+        assert kern[k][fc] > 0
+
+
+def test_echelon_push_pop_matches_oracle():
+    # random push/pop walks over low-rank integer rows, so dependent rows occur
     rng = make_rng(16)
-    for _ in range(30):
-        rows = rng.randint(0, 5)
-        cols = rng.randint(1, 6)
-        int_rows = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        scaled = int_nullspace_scaled([list(r) for r in int_rows], cols)
-        ns = nullspace(ExactMatrix.from_rows(int_rows)) if rows else ExactMatrix.identity(cols)
-        assert len(scaled) == ns.cols
-        for k in range(ns.cols):
-            col = ns.column(k)
-            ints = scaled[k]
-            # proportional with positive leading free entry
-            nz = [(a, b) for a, b in zip(col, ints) if a or b]
-            assert all(a != 0 and b != 0 for a, b in nz)
-            ratios = {Fraction(b) / a for a, b in nz}
-            assert len(ratios) == 1
-            assert ratios.pop() > 0
+    for _ in range(40):
+        width = rng.randint(1, 6)
+        gens = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(rng.randint(1, width))]
+        ech = IntEchelon(width)
+        pushed: list[list[int]] = []
+        _assert_engine_matches_oracle(ech, pushed, width)
+        for _ in range(25):
+            if pushed and rng.random() < 0.35:
+                ech.pop()
+                pushed.pop()
+            else:
+                row = [sum(rng.randint(-2, 2) * g[j] for g in gens) for j in range(width)]
+                reduced = ech.reduce(row)
+                assert bool(reduced) == (oracle_rank(pushed + [row]) > len(pushed))
+                if reduced:
+                    ech.push(reduced)
+                    pushed.append(row)
+            _assert_engine_matches_oracle(ech, pushed, width)
 
 
-def test_mat_mul_identity():
-    rng = make_rng(17)
-    m = random_matrix(rng, 4, 4)
-    assert mat_mul(m, ExactMatrix.identity(4)) == m
-    assert mat_mul(ExactMatrix.identity(4), m) == m
+def test_empty_shapes():
+    assert rank(ExactMatrix(0, 3, [])) == 0
+    assert nullspace(ExactMatrix(0, 3, [])) == ExactMatrix.identity(3)
+    assert nullspace(ExactMatrix(2, 0, [])) == ExactMatrix(0, 0, [])

@@ -1,9 +1,12 @@
 """Function file round-trips and validation."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from johnson_eigen import FunctionFileError, JohnsonParams, SparseFunction, vertex_from_elements
 from johnson_eigen.fileformat import (
@@ -83,6 +86,11 @@ def test_write_is_canonical_and_sorted(tmp_path):
         lambda d: d.update(entries=[[0, 1.5]]),
         lambda d: d.update(entries=[[0, "1/0"]]),
         lambda d: d.update(entries="nope"),
+        lambda d: d.update(n=True),
+        lambda d: d.update(w=True),
+        lambda d: d.update(lambda_index=False),
+        lambda d: d.update(entries=[[True, "1"]]),
+        lambda d: d.update(n=4, w=True, lambda_index=False, entries=[[True, "1"]]),
     ],
 )
 def test_reader_rejects_malformed_documents(mutate):
@@ -107,3 +115,56 @@ def test_lambda_index_optional_field(tmp_path):
     f, idx = document_to_function(doc)
     assert idx is None
     assert f.support_size == 1
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.floats(allow_nan=False), st.text(max_size=4)
+)
+
+
+@st.composite
+def _valid_documents(draw):
+    n = draw(st.integers(0, 7))
+    w = draw(st.integers(0, n))
+    ranks = draw(st.lists(st.integers(0, math.comb(n, w) - 1), unique=True, max_size=6))
+    values = st.builds(
+        lambda p, q: rational_to_string(Fraction(p, q)),
+        st.integers(-5, 5).filter(bool), st.integers(1, 5),
+    )
+    doc = {"n": n, "w": w, "entries": [[r, draw(values)] for r in sorted(ranks)]}
+    if draw(st.booleans()):
+        doc["lambda_index"] = draw(st.one_of(st.none(), st.integers(0, w)))
+    return doc
+
+
+@st.composite
+def _corrupted_documents(draw):
+    """A valid document with one field, rank or value replaced by an arbitrary JSON value."""
+    doc = draw(_valid_documents())
+    junk = draw(st.one_of(st.booleans(), _scalars, st.lists(_scalars, max_size=3)))
+    spot = draw(st.sampled_from(["n", "w", "lambda_index", "entries", "extra", "rank", "value"]))
+    if spot in ("rank", "value") and doc["entries"]:
+        entry = draw(st.sampled_from(doc["entries"]))
+        entry[0 if spot == "rank" else 1] = junk
+    else:
+        doc[spot] = junk
+    return doc
+
+
+_documents = st.one_of(_valid_documents(), _corrupted_documents(), _scalars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_reader_total_and_round_trip_byte_identical(doc):
+    # every document either parses or raises FunctionFileError; what parses
+    # is written back byte for byte (a missing lambda_index is written as null)
+    try:
+        f, idx = document_to_function(doc)
+    except FunctionFileError:
+        return
+    assert type(f.params.n) is int and type(f.params.w) is int
+    assert idx is None or type(idx) is int
+    assert dumps_document(function_to_document(f, idx)) == dumps_document(
+        {**doc, "lambda_index": doc.get("lambda_index")}
+    )

@@ -1,6 +1,8 @@
 """Minimum-support search: oracle agreement, witness soundness, budgets."""
 
 import math
+import multiprocessing
+import os
 
 import pytest
 
@@ -181,3 +183,53 @@ def test_search_stats_populated():
     assert report.stats.nodes > 0
     hyper = min_support_hyperplane(space)
     assert hyper.stats.subsets == math.comb(10, 3)
+
+
+def test_verify_bound_node_count_pinned():
+    # a change in the search order or the pruning must show here on purpose
+    report = verify_bound(JohnsonParams(8, 2), 2, workers=1)
+    assert report.stats.nodes == 97_257
+    assert report.min_support == 4
+
+
+class _InProcessContext:
+    """Stands in for the fork context: records the pool size, runs chunks in process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, chunks):
+        return [fn(*chunk) for chunk in chunks]
+
+
+def test_hyperplane_pool_capped_at_cpu_count(monkeypatch):
+    # C(20,4) = 4845 subsets is above the parallel gate
+    space = eigenspace_basis(JohnsonParams(6, 3), 1)
+    seq = min_support_hyperplane(space, workers=1)
+    ctx = _InProcessContext()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    par = min_support_hyperplane(space, workers=1000)
+    assert ctx.sizes == [2]
+    assert par.min_support == seq.min_support
+    assert par.stats.subsets == seq.stats.subsets
+    assert [sorted(w.entries.items()) for w in par.witnesses] == [
+        sorted(w.entries.items()) for w in seq.witnesses
+    ]
+
+
+def test_hyperplane_rejects_nonpositive_workers():
+    space = eigenspace_basis(JohnsonParams(5, 2), 1)
+    for workers in (0, -3):
+        with pytest.raises(ParameterError):
+            min_support_hyperplane(space, workers=workers)

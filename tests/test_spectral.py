@@ -13,10 +13,11 @@ from johnson_eigen import (
     eigenspace_basis,
     eigenvalue_index,
     is_eigenfunction,
-    mat_vec,
     spectrum,
     vertex_from_elements,
 )
+
+from conftest import oracle_mat_vec
 
 V = vertex_from_elements
 
@@ -130,5 +131,16 @@ def test_basis_columns_satisfy_matrix_equation():
         basis = eigenspace_basis(p, e.i)
         for c in range(basis.dimension):
             col = basis.basis.column(c)
-            av = mat_vec(a, col)
+            av = oracle_mat_vec(a, col)
             assert av == [e.lam * x for x in col]
+
+
+def test_eigenspace_basis_copies_are_private():
+    p = JohnsonParams(5, 2)
+    first = eigenspace_basis(p, 1)
+    original = list(first.basis.data)
+    first.basis.data[0] = 99
+    again = eigenspace_basis(p, 1)
+    assert again.basis.data == original
+    assert again.basis.data[0] != 99
+    assert again.basis is not first.basis
