@@ -217,8 +217,8 @@ def cmd_minsupport(args) -> int:
     space = eigenspace_basis(params, args.i)
     if space.dimension < 1:
         raise ParameterError(f"eigenspace of J({args.n},{args.w}) at index {args.i} is empty")
-    node_budget = args.budget if args.budget else DEFAULT_NODE_BUDGET
-    subset_budget = args.budget if args.budget else DEFAULT_SUBSET_BUDGET
+    node_budget = args.budget or DEFAULT_NODE_BUDGET
+    subset_budget = args.budget or DEFAULT_SUBSET_BUDGET
     if args.algo == "both":
         report = verify_bound(
             params, args.i,
@@ -257,8 +257,8 @@ def cmd_table(args) -> int:
                     continue
                 report = verify_bound(
                     params, i,
-                    node_budget=args.budget if args.budget else DEFAULT_NODE_BUDGET,
-                    subset_budget=args.budget if args.budget else DEFAULT_SUBSET_BUDGET,
+                    node_budget=args.budget or DEFAULT_NODE_BUDGET,
+                    subset_budget=args.budget or DEFAULT_SUBSET_BUDGET,
                     workers=args.threads,
                 )
                 if report.proven_optimal:
@@ -332,8 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--algo", choices=["bnb", "hyperplane", "both"], default="both")
-    p.add_argument("--budget", type=int, help="node budget (bnb) / subset budget (hyperplane)")
-    p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP, dest="witness_cap")
+    p.add_argument("--budget", type=_positive_int,
+                   help="node budget (bnb) / subset budget (hyperplane)")
+    p.add_argument("--witness-cap", type=_positive_int, default=DEFAULT_WITNESS_CAP,
+                   dest="witness_cap")
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_minsupport)
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="bound vs found minimum support per (n,w,i)")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--max-w", type=int, dest="max_w")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--csv", help="write CSV to this file instead of stdout")
     p.set_defaults(handler=cmd_table)

@@ -23,7 +23,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError
@@ -41,6 +40,9 @@ class SearchStats:
     nodes: int = 0
     subsets: int = 0
     elapsed: float = 0.0
+    # witness pool: calls to offer, and distinct normals turned into value vectors
+    offered: int = 0
+    valued: int = 0
 
 
 @dataclass
@@ -72,46 +74,61 @@ def _scaled_int_rows(basis) -> list[tuple[int, ...]]:
     return [integer_row(basis.row(r)) for r in range(basis.rows)]
 
 
+def _check_witness_cap(witness_cap: int) -> None:
+    if witness_cap < 1:
+        raise ParameterError(f"witness_cap must be at least 1, got {witness_cap}")
+
+
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b) if x and y)
 
 
-def _witness_values(basis, coeff: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Exact value vector basis @ coeff, normalized to coprime integers with a
-    positive value at the lowest-rank support vertex."""
-    vals = []
-    for r in range(basis.rows):
-        row = basis.row(r)
-        vals.append(sum((x * c for x, c in zip(row, coeff) if x and c), Fraction(0)))
-    den = math.lcm(*(v.denominator for v in vals))
-    ints = [int(v * den) for v in vals]
-    g = math.gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+def _normal(coeff: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficient vector divided by its gcd, first nonzero entry positive."""
+    g = math.gcd(*coeff)
+    if next(x for x in coeff if x) < 0:
+        g = -g
+    return tuple(x // g for x in coeff)
 
 
 class _WitnessPool:
-    """Distinct minimum-support value vectors, deduplicated up to scalar."""
+    """Distinct minimum-support value vectors, deduplicated up to scalar.
 
-    def __init__(self, basis, cap: int):
-        self.basis = basis
+    The basis has full column rank, so c -> basis @ c is injective and two
+    offers give the same vector up to scalar exactly when their coefficient
+    vectors agree up to scalar. Offers are therefore deduplicated by their
+    normal first, and each distinct normal is valued once, in integers, on
+    the basis scaled by the lcm of all its denominators. A value vector is
+    stored divided by its gcd with a positive value at the lowest-rank
+    support vertex.
+    """
+
+    def __init__(self, basis, cap: int, stats: SearchStats):
+        den = math.lcm(*(x.denominator for x in basis.data))
+        self.rows = [
+            tuple(x.numerator * (den // x.denominator) for x in basis.row(r))
+            for r in range(basis.rows)
+        ]
         self.cap = cap
+        self.stats = stats
         self.best: int | None = None
-        self.vectors: dict[tuple, None] = {}
+        # normal -> its value vector, at the best support so far
+        self.vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def offer(self, support: int, coeff: tuple[int, ...]) -> None:
+        self.stats.offered += 1
         if self.best is None or support < self.best:
             self.best = support
             self.vectors = {}
-        if support == self.best and len(self.vectors) < 4 * self.cap:
-            self.vectors.setdefault(_witness_values(self.basis, coeff), None)
+        if support != self.best or len(self.vectors) >= 4 * self.cap:
+            return
+        key = _normal(coeff)
+        if key not in self.vectors:
+            self.stats.valued += 1
+            self.vectors[key] = _normal(tuple(_dot(row, key) for row in self.rows))
 
-    def final_vectors(self) -> list[tuple]:
-        return sorted(self.vectors)[: self.cap]
+    def final_vectors(self) -> list[tuple[int, ...]]:
+        return sorted(self.vectors.values())[: self.cap]
 
 
 def _functions_from_vectors(params: JohnsonParams, vectors) -> list[SparseFunction]:
@@ -137,6 +154,7 @@ def min_support_bnb(
     exactly, so ties at the incumbent are never lost. If the node budget runs
     out the best value found so far is returned flagged as not proven.
     """
+    _check_witness_cap(witness_cap)
     basis = space.basis
     nverts, d = basis.rows, basis.cols
     if d < 1:
@@ -144,8 +162,8 @@ def min_support_bnb(
     t0 = time.perf_counter()
     rows = _scaled_int_rows(basis)
     ech = IntEchelon(d)
-    pool = _WitnessPool(basis, witness_cap)
     stats = SearchStats()
+    pool = _WitnessPool(basis, witness_cap, stats)
     incumbent = upper_bound_hint if upper_bound_hint is not None else nverts + 1
     exhausted = False
 
@@ -253,6 +271,7 @@ def min_support_hyperplane(
     always cross-checked against the branch and bound before a result is
     treated as final.
     """
+    _check_witness_cap(witness_cap)
     basis = space.basis
     nverts, d = basis.rows, basis.cols
     if d < 2:
@@ -267,7 +286,7 @@ def min_support_hyperplane(
     t0 = time.perf_counter()
     rows = _scaled_int_rows(basis)
     stats = SearchStats()
-    pool = _WitnessPool(basis, witness_cap)
+    pool = _WitnessPool(basis, witness_cap, stats)
     # one forked process per chunk: never more than the machine has
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and total >= 4096:
@@ -351,6 +370,7 @@ def verify_bound(
     minimum equals the bound and every reported witness is a scalar multiple
     of a canonical function; it stays None if optimality was not proven.
     """
+    _check_witness_cap(witness_cap)
     space = eigenspace_basis(params, i)
     if space.dimension < 1:
         raise ParameterError(f"eigenspace of J({params.n},{params.w}) at index {i} is empty")
@@ -408,6 +428,8 @@ def verify_bound(
         nodes=report.stats.nodes,
         subsets=hyper.stats.subsets if hyper else 0,
         elapsed=report.stats.elapsed + (hyper.stats.elapsed if hyper else 0.0),
+        offered=report.stats.offered + (hyper.stats.offered if hyper else 0),
+        valued=report.stats.valued + (hyper.stats.valued if hyper else 0),
     )
     return SearchReport(
         params=params,

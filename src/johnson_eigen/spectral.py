@@ -19,6 +19,10 @@ from .johnson import JohnsonParams, SparseFunction, neighbors
 # Largest vertex count for which a dense adjacency matrix is materialized.
 DEFAULT_DENSE_BUDGET = 300
 
+# Bases kept by the (n, w, lambda) cache: one process rarely revisits more
+# than the handful of eigenspaces of one graph, so the oldest are dropped.
+BASIS_CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class EigenvalueInfo:
@@ -125,15 +129,16 @@ def adjacency_matrix(params: JohnsonParams, budget: int = DEFAULT_DENSE_BUDGET) 
 def eigenspace_basis(params: JohnsonParams, i: int, budget: int = DEFAULT_DENSE_BUDGET) -> EigenspaceBasis:
     """Exact basis of the lambda_i eigenspace via nullspace(A - lambda_i I).
 
-    Bases are cached per (n, w, lambda); each call gets its own copy, so a
-    caller that writes into the returned matrix cannot change later results.
+    The BASIS_CACHE_SIZE most recently used bases are cached per (n, w,
+    lambda); each call gets its own copy, so a caller that writes into the
+    returned matrix cannot change later results.
     """
     lam = eigenvalue(params, i)
     cached = _eigenspace_matrix(params.n, params.w, lam, budget)
     return EigenspaceBasis(params, i, lam, ExactMatrix(cached.rows, cached.cols, cached.data))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _eigenspace_matrix(n: int, w: int, lam: int, budget: int) -> ExactMatrix:
     params = JohnsonParams(n, w)
     shifted = adjacency_matrix(params, budget)

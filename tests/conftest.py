@@ -184,3 +184,42 @@ def pascal_table(limit: int):
 def colex_subsets(n: int, w: int):
     """All w-subsets of {0..n-1} sorted co-lexicographically, as element tuples."""
     return sorted(itertools.combinations(range(n), w), key=lambda s: tuple(reversed(s)))
+
+
+def reference_witness_values(basis, coeff) -> tuple[Fraction, ...]:
+    """Exact value vector basis @ coeff over Fractions, normalized to coprime
+    integers with a positive value at the lowest-rank support vertex."""
+    vals = []
+    for r in range(basis.rows):
+        row = basis.row(r)
+        vals.append(sum((x * c for x, c in zip(row, coeff) if x and c), Fraction(0)))
+    den = math.lcm(*(v.denominator for v in vals))
+    ints = [int(v * den) for v in vals]
+    g = math.gcd(*ints)
+    if g:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x), 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(Fraction(x) for x in ints)
+
+
+class ReferenceWitnessPool:
+    """The witness pool valued over Fractions on every offer, with no deduplication
+    before valuing: keeps the first 4*cap distinct vectors at the best support."""
+
+    def __init__(self, basis, cap, stats=None):
+        self.basis = basis
+        self.cap = cap
+        self.best = None
+        self.vectors = {}
+
+    def offer(self, support, coeff) -> None:
+        if self.best is None or support < self.best:
+            self.best = support
+            self.vectors = {}
+        if support == self.best and len(self.vectors) < 4 * self.cap:
+            self.vectors.setdefault(reference_witness_values(self.basis, coeff), None)
+
+    def final_vectors(self) -> list[tuple]:
+        return sorted(self.vectors)[: self.cap]

@@ -160,6 +160,26 @@ def test_threads_below_one_is_usage_error(capsys):
             assert "--threads" in err
 
 
+def test_witness_cap_below_one_is_usage_error(capsys):
+    for cap in ("0", "-2"):
+        code, out, err = invoke(capsys, ["minsupport", "--n", "5", "--w", "2", "--i", "2",
+                                         "--threads", "1", "--witness-cap", cap, "--json"])
+        assert code == 2
+        assert out == ""
+        assert "--witness-cap" in err
+
+
+def test_budget_below_one_is_usage_error(capsys):
+    for argv in (["minsupport", "--n", "5", "--w", "2", "--i", "1", "--threads", "1"],
+                 ["table", "--max-n", "3", "--threads", "1"]):
+        for budget in ("0", "-1"):
+            code, out, err = invoke(capsys, argv + ["--budget", budget])
+            assert code == 2
+            assert out == ""
+            assert "--budget" in err
+            assert "BUDGET_EXHAUSTED" not in err
+
+
 def test_minsupport_json_reports_dim(capsys):
     code, out, _ = invoke(capsys, ["minsupport", "--n", "5", "--w", "2", "--i", "1",
                                    "--threads", "1", "--json"])

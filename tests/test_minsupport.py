@@ -3,8 +3,11 @@
 import math
 import multiprocessing
 import os
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from johnson_eigen import (
     JohnsonParams,
@@ -19,8 +22,11 @@ from johnson_eigen import (
     support_size_bound,
     verify_bound,
 )
+from johnson_eigen import minsupport
+from johnson_eigen.exact_linalg import ExactMatrix
+from johnson_eigen.minsupport import SearchStats, _WitnessPool
 
-from conftest import exhaustive_min_support
+from conftest import ReferenceWitnessPool, exhaustive_min_support, oracle_rank
 
 SMALL_INSTANCES = [
     (n, w, i)
@@ -233,3 +239,67 @@ def test_hyperplane_rejects_nonpositive_workers():
     for workers in (0, -3):
         with pytest.raises(ParameterError):
             min_support_hyperplane(space, workers=workers)
+
+
+def test_witness_cap_below_one_rejected():
+    space = eigenspace_basis(JohnsonParams(5, 2), 2)
+    for cap in (0, -2):
+        with pytest.raises(ParameterError):
+            min_support_bnb(space, witness_cap=cap)
+        with pytest.raises(ParameterError):
+            min_support_hyperplane(space, witness_cap=cap)
+        with pytest.raises(ParameterError):
+            verify_bound(JohnsonParams(5, 2), 2, witness_cap=cap)
+
+
+def test_pool_counters_pinned():
+    # offers from both oracles, and the distinct kernel normals among them that were valued
+    report = verify_bound(JohnsonParams(6, 3), 1, workers=1)
+    assert (report.stats.offered, report.stats.valued) == (2_897, 32)
+    report = verify_bound(JohnsonParams(8, 2), 2, workers=1)
+    assert (report.stats.offered, report.stats.valued) == (210, 64)
+
+
+@st.composite
+def _pool_cases(draw):
+    d = draw(st.integers(1, 4))
+    nrows = draw(st.integers(d, 8))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=nrows, max_size=nrows))
+    assume(oracle_rank(rows) == d)
+    vector = st.lists(st.integers(-5, 5), min_size=d, max_size=d).filter(any)
+    normals = draw(st.lists(vector, min_size=1, max_size=6))
+    # each offer is a scaled, possibly negated, copy of one of a few vectors
+    offer = st.tuples(st.integers(0, 4), st.sampled_from(normals), st.integers(-3, 3).filter(bool))
+    stream = [(support, tuple(k * x for x in c)) for support, c, k in draw(st.lists(offer, max_size=40))]
+    return ExactMatrix.from_rows(rows), stream, draw(st.integers(1, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pool_cases())
+def test_integer_pool_matches_fraction_valuation(case):
+    basis, stream, cap = case
+    stats = SearchStats()
+    pool = _WitnessPool(basis, cap, stats)
+    ref = ReferenceWitnessPool(basis, cap)
+    for support, coeff in stream:
+        pool.offer(support, coeff)
+        ref.offer(support, coeff)
+    assert pool.best == ref.best
+    assert [tuple(Fraction(x) for x in v) for v in pool.final_vectors()] == ref.final_vectors()
+    assert stats.offered == len(stream)
+
+
+@pytest.mark.parametrize("n,w,i", [(5, 2, 2), (6, 3, 1)])
+def test_verify_bound_witnesses_match_fraction_pool(monkeypatch, n, w, i):
+    new = verify_bound(JohnsonParams(n, w), i, workers=1)
+    par = verify_bound(JohnsonParams(n, w), i, workers=2)
+    monkeypatch.setattr(minsupport, "_WitnessPool", ReferenceWitnessPool)
+    old = verify_bound(JohnsonParams(n, w), i, workers=1)
+    entries = [sorted(w_fn.entries.items()) for w_fn in old.witnesses]
+    assert entries
+    assert [sorted(w_fn.entries.items()) for w_fn in new.witnesses] == entries
+    assert [sorted(w_fn.entries.items()) for w_fn in par.witnesses] == entries
+    assert (new.min_support, new.attained_by_canonical, new.all_witnesses_canonical) == (
+        old.min_support, old.attained_by_canonical, old.all_witnesses_canonical
+    )

@@ -14,6 +14,7 @@ from johnson_eigen import (
     eigenvalue_index,
     is_eigenfunction,
     spectrum,
+    verify_bound,
     vertex_from_elements,
 )
 
@@ -144,3 +145,22 @@ def test_eigenspace_basis_copies_are_private():
     assert again.basis.data == original
     assert again.basis.data[0] != 99
     assert again.basis is not first.basis
+
+
+def test_basis_cache_is_bounded():
+    from johnson_eigen.spectral import BASIS_CACHE_SIZE, _eigenspace_matrix
+
+    assert _eigenspace_matrix.cache_info().maxsize == BASIS_CACHE_SIZE
+    # a table cell looks up its basis, then verify_bound looks up the same key
+    p = JohnsonParams(5, 2)
+    eigenspace_basis(p, 1)
+    hits = _eigenspace_matrix.cache_info().hits
+    verify_bound(p, 1, workers=1)
+    assert _eigenspace_matrix.cache_info().hits == hits + 1
+    # more distinct bases than the cache holds: it stays at its bound
+    keys = [(n, w, e.i) for n in range(1, 8) for w in range(n + 1)
+            for e in spectrum(JohnsonParams(n, w))]
+    assert len(keys) > BASIS_CACHE_SIZE
+    for n, w, i in keys:
+        eigenspace_basis(JohnsonParams(n, w), i)
+    assert _eigenspace_matrix.cache_info().currsize == BASIS_CACHE_SIZE
