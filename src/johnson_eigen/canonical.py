@@ -16,7 +16,7 @@ from fractions import Fraction
 from .combinatorics import binomial
 from .errors import ParameterError
 from .johnson import JohnsonParams, SparseFunction
-from .operators import coordinate_partition
+from .operators import coordinate_partition, swap_maps_to
 
 Pair = tuple[int, int]
 
@@ -129,7 +129,7 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
         return None
     partner: dict[int, int] = {}
     for a, b in itertools.combinations(singles, 2):
-        if _transpose_negates(f, a, b):
+        if swap_maps_to(f, a, b, -1):
             if a in partner or b in partner:
                 return None
             partner[a] = b
@@ -154,18 +154,3 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
         scalar = -scalar
     return CanonicalMatch(candidate, scalar)
 
-
-def _transpose_negates(f: SparseFunction, a: int, b: int) -> bool:
-    """True iff swapping coordinates a and b maps f to -f.
-
-    That forces every support vertex to hold exactly one of the two
-    coordinates, since a vertex with both or neither is fixed by the swap.
-    """
-    mask = (1 << a) | (1 << b)
-    for x, v in f.entries.items():
-        hit = x & mask
-        if hit == 0 or hit == mask:
-            return False
-        if f.entries.get(x ^ mask) != -v:
-            return False
-    return True

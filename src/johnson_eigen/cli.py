@@ -15,7 +15,7 @@ import os
 import sys
 
 from .canonical import PairingConfig, build_canonical, default_pairing, support_size_bound
-from .combinatorics import rank_subset, vertex_elements
+from .combinatorics import MAX_COORDS, rank_subset, vertex_elements
 from .errors import (
     FunctionFileError,
     OracleDisagreementError,
@@ -74,11 +74,22 @@ def _parse_pairs(text: str) -> PairingConfig:
     return PairingConfig(tuple(pairs))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """argparse type for an integer of at least low and, unless high is None, at most high."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+_positive_int = _int_in(1)
 
 
 def _vertex_label(x: int) -> str:
@@ -341,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_minsupport)
 
     p = sub.add_parser("table", help="bound vs found minimum support per (n,w,i)")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--max-w", type=int, dest="max_w")
+    p.add_argument("--max-n", type=_int_in(1, MAX_COORDS), required=True, dest="max_n")
+    p.add_argument("--max-w", type=_int_in(0), dest="max_w")
     p.add_argument("--budget", type=_positive_int)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--csv", help="write CSV to this file instead of stdout")

@@ -175,26 +175,21 @@ def neighbors(x: int, params: JohnsonParams) -> list[int]:
 def apply_adjacency(f: SparseFunction) -> SparseFunction:
     """g(x) = sum of f over the neighbors of x, computed by scattering the support.
 
+    f is scaled once by L, the lcm of its denominators, so the scatter adds
+    plain integer numerators and each nonzero sum s becomes Fraction(s, L).
     The result's support is contained in supp(f) united with its neighborhood.
     """
     params = f.params
-    comp_all = params.full_mask()
-    acc: dict[int, Fraction] = {}
+    den = math.lcm(*(v.denominator for v in f.entries.values()))
+    bits = [1 << c for c in range(params.n)]
+    acc: dict[int, int] = {}
     for y, v in f.entries.items():
-        comp = comp_all & ~y
-        ins = y
-        while ins:
-            abit = ins & -ins
-            ins ^= abit
-            base = y ^ abit
-            outs = comp
-            while outs:
-                bbit = outs & -outs
-                outs ^= bbit
-                x = base | bbit
-                s = acc.get(x, 0) + v
-                if s:
-                    acc[x] = s
-                else:
-                    del acc[x]
-    return SparseFunction(params, acc)
+        num = v.numerator * (den // v.denominator)
+        outs = [b for b in bits if not y & b]
+        for abit in bits:
+            if y & abit:
+                base = y ^ abit
+                for bbit in outs:
+                    x = base | bbit
+                    acc[x] = acc.get(x, 0) + num
+    return SparseFunction(params, {x: Fraction(s, den) for x, s in acc.items() if s})

@@ -136,8 +136,29 @@ def survivor_coordinates(n: int, pairs) -> list[int]:
 
 def zero_pair(f: SparseFunction, j1: int, j2: int) -> bool:
     """True iff the (j1,j2) reduction of f vanishes; equivalently f is invariant
-    under transposing the two coordinates."""
-    return reduce(f, j1, j2).is_zero()
+    under transposing the two coordinates, which is tested without building
+    the reduction."""
+    _check_reduction_coords(f.params, j1, j2)
+    return swap_maps_to(f, j1, j2, 1)
+
+
+def swap_maps_to(f: SparseFunction, a: int, b: int, sign: int) -> bool:
+    """True iff swapping coordinates a and b maps f to sign * f, for sign +-1.
+
+    The swap sends a vertex holding exactly one of a, b to x ^ mask and fixes
+    the others; so with sign -1 any support vertex holding both or neither fails.
+    """
+    mask = (1 << a) | (1 << b)
+    entries = f.entries
+    negate = sign < 0
+    for x, v in entries.items():
+        hit = x & mask
+        if hit == 0 or hit == mask:
+            if negate:
+                return False
+        elif entries.get(x ^ mask) != (-v if negate else v):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

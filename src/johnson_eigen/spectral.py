@@ -14,7 +14,7 @@ from fractions import Fraction
 from .combinatorics import binomial, rank_subset
 from .errors import AmbiguousEigenvalueError, ParameterError, SizeBudgetError
 from .exact_linalg import ExactMatrix, nullspace
-from .johnson import JohnsonParams, SparseFunction, neighbors
+from .johnson import JohnsonParams, SparseFunction, apply_adjacency, neighbors
 
 # Largest vertex count for which a dense adjacency matrix is materialized.
 DEFAULT_DENSE_BUDGET = 300
@@ -149,24 +149,20 @@ def _eigenspace_matrix(n: int, w: int, lam: int, budget: int) -> ExactMatrix:
 
 
 def is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:
-    """Check the eigenfunction equation on supp(f) and its neighborhood.
+    """Check lam * f = A f, where A f is apply_adjacency(f) on integer numerators.
 
-    Vertices outside that closure satisfy 0 = 0 automatically, which is what
-    makes verification possible without enumerating all C(n,w) vertices.
+    The equation can only fail on supp(f) united with supp(A f): elsewhere it
+    reads 0 = 0, which is what makes verification possible without
+    enumerating all C(n,w) vertices. The certificate is the failing vertex
+    of lowest rank.
     """
-    params = f.params
     if f.is_zero():
         return EigenVerdict(holds=True, is_zero=True)
-    closure = set(f.entries)
-    for x in f.entries:
-        closure.update(neighbors(x, params))
-    lam_f = Fraction(lam)
-    for x in sorted(closure, key=rank_subset):
-        acc = Fraction(0)
-        for y in neighbors(x, params):
-            v = f.entries.get(y)
-            if v is not None:
-                acc += v
-        if lam_f * f(x) != acc:
-            return EigenVerdict(holds=False, is_zero=False, certificate=x)
+    f_vals, g_vals = f.entries, apply_adjacency(f).entries
+    failing = [
+        x for x in f_vals.keys() | g_vals.keys()
+        if g_vals.get(x, 0) != lam * f_vals.get(x, 0)
+    ]
+    if failing:
+        return EigenVerdict(holds=False, is_zero=False, certificate=min(failing, key=rank_subset))
     return EigenVerdict(holds=True, is_zero=False)

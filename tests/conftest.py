@@ -12,8 +12,8 @@ import math
 import random
 from fractions import Fraction
 
-from johnson_eigen import JohnsonParams, SparseFunction
-from johnson_eigen.spectral import EigenspaceBasis
+from johnson_eigen import JohnsonParams, SparseFunction, neighbors, rank_subset
+from johnson_eigen.spectral import EigenspaceBasis, EigenVerdict
 
 
 def make_rng(seed: int) -> random.Random:
@@ -157,6 +157,27 @@ def exhaustive_min_support(space: EigenspaceBasis) -> int:
 
     visit(0, [], 0)
     return nverts - best[0]
+
+
+def reference_is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:
+    """The eigenfunction check by gathering over Fractions: walk supp(f) and its
+    neighborhood in rank order and compare lam * f(x) with the neighbor sum."""
+    params = f.params
+    if f.is_zero():
+        return EigenVerdict(holds=True, is_zero=True)
+    closure = set(f.entries)
+    for x in f.entries:
+        closure.update(neighbors(x, params))
+    lam_f = Fraction(lam)
+    for x in sorted(closure, key=rank_subset):
+        acc = Fraction(0)
+        for y in neighbors(x, params):
+            v = f.entries.get(y)
+            if v is not None:
+                acc += v
+        if lam_f * f(x) != acc:
+            return EigenVerdict(holds=False, is_zero=False, certificate=x)
+    return EigenVerdict(holds=True, is_zero=False)
 
 
 def dense_adjacency_by_definition(params: JohnsonParams):

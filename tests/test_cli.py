@@ -180,6 +180,21 @@ def test_budget_below_one_is_usage_error(capsys):
             assert "BUDGET_EXHAUSTED" not in err
 
 
+def test_table_bounds_are_usage_errors(capsys):
+    for extra in (["--max-n", "-1"], ["--max-n", "0"], ["--max-n", "65"],
+                  ["--max-n", "3", "--max-w", "-2"], ["--max-n", "x"]):
+        code, out, err = invoke(capsys, ["table", "--threads", "1"] + extra)
+        assert code == 2
+        assert out == ""
+        assert ("--max-w" if "--max-w" in extra else "--max-n") in err
+
+
+def test_table_bounds_accepted_at_the_edges(capsys):
+    code, out, _ = invoke(capsys, ["table", "--max-n", "1", "--max-w", "0", "--threads", "1"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,0,0,0,1,1,1,True,ok"]
+
+
 def test_minsupport_json_reports_dim(capsys):
     code, out, _ = invoke(capsys, ["minsupport", "--n", "5", "--w", "2", "--i", "1",
                                    "--threads", "1", "--json"])

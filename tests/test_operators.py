@@ -1,8 +1,11 @@
 """Induction, reduction, zero pairs, and the coordinate partition."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from johnson_eigen import (
     JohnsonParams,
@@ -24,6 +27,7 @@ from johnson_eigen import (
     vertex_from_elements,
     zero_pair,
 )
+from johnson_eigen.operators import swap_maps_to
 
 from conftest import block_symmetrized_function, make_rng, random_member, random_sparse_function
 
@@ -152,6 +156,49 @@ def test_zero_pair_examples():
     for j1 in range(5):
         for j2 in range(j1 + 1, 5):
             assert zero_pair(ones, j1, j2)
+
+
+@st.composite
+def _pair_cases(draw):
+    n = draw(st.integers(2, 7))
+    w = draw(st.integers(1, n - 1))
+    p = JohnsonParams(n, w)
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from([random_sparse_function, block_symmetrized_function]))
+    f = kind(p, rng).scale(Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 7))))
+    j1, j2 = draw(st.permutations(range(n)))[:2]
+    return f, j1, j2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_cases())
+def test_zero_pair_matches_reduction(case):
+    f, j1, j2 = case
+    assert zero_pair(f, j1, j2) == reduce(f, j1, j2).is_zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_cases(), st.sampled_from([1, -1]))
+def test_swap_maps_to_matches_definition(case, sign):
+    f, a, b = case
+    mask = (1 << a) | (1 << b)
+    swapped = SparseFunction(f.params, {
+        x ^ mask if (x & mask) not in (0, mask) else x: v for x, v in f.entries.items()
+    })
+    assert swap_maps_to(f, a, b, sign) == (swapped == f.scale(sign))
+    canon = canonical(f.params.n, f.params.w, 1, pairs=[(a, b)])
+    assert swap_maps_to(canon, a, b, -1) and not swap_maps_to(canon, a, b, 1)
+
+
+def test_zero_pair_validation():
+    f = canonical(5, 2, 1)
+    for j1, j2 in [(1, 1), (0, 5), (5, 0), (-1, 2), (2, -1)]:
+        with pytest.raises(ParameterError):
+            zero_pair(f, j1, j2)
+    for n in (2, 5):
+        for w in (0, n):
+            with pytest.raises(ParameterError):
+                zero_pair(SparseFunction.constant(JohnsonParams(n, w), 1), 0, 1)
 
 
 def test_zero_pair_transitivity():

@@ -1,6 +1,10 @@
 """Spectrum formulas, eigenspace bases, eigenfunction verdicts."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from johnson_eigen import (
     AmbiguousEigenvalueError,
@@ -18,7 +22,7 @@ from johnson_eigen import (
     vertex_from_elements,
 )
 
-from conftest import oracle_mat_vec
+from conftest import oracle_mat_vec, reference_is_eigenfunction
 
 V = vertex_from_elements
 
@@ -121,6 +125,37 @@ def test_certificate_is_first_violation_in_rank_order():
     assert not v.holds
     # the equation already fails at rank 0
     assert v.certificate == V([0, 1])
+
+
+@st.composite
+def _eigen_cases(draw):
+    n = draw(st.integers(1, 7))
+    w = draw(st.integers(0, n))
+    params = JohnsonParams(n, w)
+    verts = list(params.vertices())
+    value = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "member", "perturbed", "zero"]))
+    if kind == "zero":
+        f = SparseFunction.zero(params)
+    elif kind == "random":
+        support = draw(st.lists(st.sampled_from(verts), unique=True))
+        f = SparseFunction(params, {x: draw(value) for x in support})
+    else:
+        space = eigenspace_basis(params, draw(st.integers(0, w)))
+        f = space.member(draw(st.lists(value, min_size=space.dimension, max_size=space.dimension)))
+        if kind == "perturbed":
+            f = f + SparseFunction(params, {draw(st.sampled_from(verts)): draw(value)})
+    lams = sorted({info.lam for info in spectrum(params)})
+    gap = draw(st.integers(1, 20))
+    return f, lams + [draw(st.sampled_from([lams[0] - gap, lams[-1] + gap]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eigen_cases())
+def test_is_eigenfunction_matches_gather_reference(case):
+    f, lams = case
+    for lam in lams:
+        assert is_eigenfunction(f, lam) == reference_is_eigenfunction(f, lam)
 
 
 def test_basis_columns_satisfy_matrix_equation():
