@@ -25,6 +25,7 @@ from .combinatorics import (
 )
 from .errors import (
     AmbiguousEigenvalueError,
+    BasisCheckError,
     FunctionFileError,
     JohnsonEigenError,
     OracleDisagreementError,

@@ -76,19 +76,29 @@ def build_canonical(params: JohnsonParams, pairing: PairingConfig) -> SparseFunc
         raise ParameterError(
             f"no support: need w-i <= n-2i, got w-i={w - i}, n-2i={n - 2 * i}"
         )
-    outside = [c for c in range(n) if c not in pairing.coordinates()]
+    return SparseFunction(params, pairing_values(n, w, pairing.pairs))
+
+
+def pairing_values(n: int, w: int, pairs) -> dict[int, int]:
+    """The +-1 values of the canonical function of these pairs, keyed by vertex bitmask.
+
+    Unchecked: the pairs must be disjoint coordinates below n, at most w of
+    them; no vertex fits when w - len(pairs) > n - 2 len(pairs).
+    """
+    used = {c for p in pairs for c in p}
+    outside = [c for c in range(n) if c not in used]
     entries: dict[int, int] = {}
-    for sides in itertools.product(*pairing.pairs):
+    for sides in itertools.product(*pairs):
         base = 0
         for c in sides:
             base |= 1 << c
-        sign = -1 if sum(1 for c, p in zip(sides, pairing.pairs) if c == p[0]) % 2 else 1
-        for fill in itertools.combinations(outside, w - i):
+        sign = -1 if sum(1 for c, p in zip(sides, pairs) if c == p[0]) % 2 else 1
+        for fill in itertools.combinations(outside, w - len(pairs)):
             x = base
             for c in fill:
                 x |= 1 << c
             entries[x] = sign
-    return SparseFunction(params, entries)
+    return entries
 
 
 @dataclass(frozen=True)

@@ -27,3 +27,7 @@ class FunctionFileError(JohnsonEigenError):
 
 class AmbiguousEigenvalueError(JohnsonEigenError):
     """An eigenvalue occurs at more than one spectral index on this graph."""
+
+
+class BasisCheckError(JohnsonEigenError):
+    """A generated eigenspace basis failed its eigen-check or its rank check."""

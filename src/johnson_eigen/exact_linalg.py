@@ -7,7 +7,8 @@ through integer_row, which clears denominators and content; scaling a row
 leaves its row space alone, so rank and kernel are those of the rational
 matrix. Kernel bases are canonical and reproducible bit for bit: the vector
 for free column c is zero at every other free column, and nullspace scales
-it to 1 at c.
+it to 1 at c. span_basis puts a subspace given by spanning rows into the
+same form, without the matrix whose kernel it is.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from fractions import Fraction
 from collections.abc import Sequence
 
-from .errors import ParameterError
+from .errors import BasisCheckError, ParameterError
 
 Rational = Fraction | int
 
@@ -31,7 +32,8 @@ class ExactMatrix:
             raise ParameterError(f"data length {len(data)} does not match {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.data = [Fraction(x) for x in data]
+        # Fractions are immutable, so existing ones are shared, not rebuilt.
+        self.data = [x if type(x) is Fraction else Fraction(x) for x in data]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "ExactMatrix":
@@ -205,3 +207,40 @@ def nullspace(m: ExactMatrix) -> ExactMatrix:
     d = len(columns)
     flat = [columns[j][i] for i in range(nc) for j in range(d)]
     return ExactMatrix(nc, d, flat)
+
+
+def span_basis(rows: Sequence[Sequence[int]], width: int, rank: int) -> ExactMatrix:
+    """Canonical basis of the span E of integer rows of length width: the matrix
+    nullspace returns for every matrix whose kernel is E.
+
+    Raises BasisCheckError unless E has dimension rank. nullspace gives the
+    kernel vector of each free column c of the RREF, 1 at c and 0 at every
+    other free column. Column c is free exactly when some v in E has its
+    last nonzero entry at c, so the free columns are the pivots of E's rows
+    with the coordinate order reversed. One fraction-free Gauss-Jordan pass
+    over the reversed rows (reduce them, then reduce the stored rows again,
+    last first, against those already cleared) leaves each row zero at every
+    other pivot; divided by its pivot entry it is the vector of that free
+    column.
+    """
+    ech = IntEchelon(width)
+    for row in rows:
+        reduced = ech.reduce(row[::-1])
+        if reduced:
+            ech.push(reduced)
+    if ech.rank != rank:
+        raise BasisCheckError(f"rows span a space of dimension {ech.rank}, expected {rank}")
+    # A row stored later is zero at every earlier pivot and left of its own,
+    # so clearing it from an earlier row keeps that row's pivot.
+    jordan = IntEchelon(width)
+    for row in reversed(ech.rows):
+        jordan.push(jordan.reduce(row))
+    order = sorted(range(rank), key=jordan.pivots.__getitem__, reverse=True)
+    flat = [Fraction(0)] * (width * rank)
+    for c, k in enumerate(order):
+        row = jordan.rows[k]
+        piv = row[jordan.pivots[k]]
+        for q, x in enumerate(row):
+            if x:
+                flat[(width - 1 - q) * rank + c] = Fraction(x, piv)
+    return ExactMatrix(width, rank, flat)

@@ -172,19 +172,29 @@ def neighbors(x: int, params: JohnsonParams) -> list[int]:
     return out
 
 
-def apply_adjacency(f: SparseFunction) -> SparseFunction:
-    """g(x) = sum of f over the neighbors of x, computed by scattering the support.
+def scaled_numerators(f: SparseFunction) -> tuple[int, dict[int, int]]:
+    """(L, {x: L * f(x)}) with L the lcm of f's denominators.
 
-    f is scaled once by L, the lcm of its denominators, so the scatter adds
-    plain integer numerators and each nonzero sum s becomes Fraction(s, L).
-    The result's support is contained in supp(f) united with its neighborhood.
+    Linear operators then add plain integers and divide by L once per output
+    value, instead of adding one Fraction per term.
     """
-    params = f.params
     den = math.lcm(*(v.denominator for v in f.entries.values()))
-    bits = [1 << c for c in range(params.n)]
+    return den, {x: v.numerator * (den // v.denominator) for x, v in f.entries.items()}
+
+
+def function_from_sums(params: JohnsonParams, sums: Mapping[int, int], den: int) -> SparseFunction:
+    """The function x -> sums[x] / den, one Fraction per nonzero sum."""
+    return SparseFunction(params, {x: Fraction(s, den) for x, s in sums.items() if s})
+
+
+def adjacency_sums(nums: Mapping[int, int], n: int) -> dict[int, int]:
+    """s(x) = sum of nums over the neighbors of x, scattered from the support of nums.
+
+    The keys are supp(nums)'s neighborhood; sums that cancel to 0 are kept.
+    """
+    bits = [1 << c for c in range(n)]
     acc: dict[int, int] = {}
-    for y, v in f.entries.items():
-        num = v.numerator * (den // v.denominator)
+    for y, num in nums.items():
         outs = [b for b in bits if not y & b]
         for abit in bits:
             if y & abit:
@@ -192,4 +202,15 @@ def apply_adjacency(f: SparseFunction) -> SparseFunction:
                 for bbit in outs:
                     x = base | bbit
                     acc[x] = acc.get(x, 0) + num
-    return SparseFunction(params, {x: Fraction(s, den) for x, s in acc.items() if s})
+    return acc
+
+
+def apply_adjacency(f: SparseFunction) -> SparseFunction:
+    """g(x) = sum of f over the neighbors of x, computed by scattering the support.
+
+    The scatter adds the integer numerators of scaled_numerators, and each
+    nonzero sum s becomes Fraction(s, L). The result's support is contained
+    in supp(f) united with its neighborhood.
+    """
+    den, nums = scaled_numerators(f)
+    return function_from_sums(f.params, adjacency_sums(nums, f.params.n), den)

@@ -4,17 +4,17 @@ Induction I(f) sums f over weight-i subsets of each target vertex and shifts
 the eigenvalue by (w-i)(n-i-w). Reduction fixes an ordered coordinate pair
 (j1, j2), takes the difference of f over the two ways of placing a single
 one there, and lands in J(n-2, w-1) one spectral index lower. Coordinates of
-the smaller graph are the survivors renumbered in order.
+the smaller graph are the survivors renumbered in order. All three add the
+integer numerators of scaled_numerators and divide once per output value.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParameterError
-from .johnson import JohnsonParams, SparseFunction
+from .johnson import JohnsonParams, SparseFunction, function_from_sums, scaled_numerators
 
 
 def induce(f: SparseFunction, target_w: int) -> SparseFunction:
@@ -28,21 +28,17 @@ def induce(f: SparseFunction, target_w: int) -> SparseFunction:
         raise ParameterError(f"upward induction needs target weight >= {i}, got {target_w}")
     if target_w > n:
         raise ParameterError(f"target weight {target_w} exceeds n={n}")
-    target = JohnsonParams(n, target_w)
     extra = target_w - i
-    acc: dict[int, Fraction] = {}
-    for y, v in f.entries.items():
+    den, nums = scaled_numerators(f)
+    acc: dict[int, int] = {}
+    for y, v in nums.items():
         comp = [c for c in range(n) if not (y >> c) & 1]
         for add in itertools.combinations(comp, extra):
             x = y
             for c in add:
                 x |= 1 << c
-            s = acc.get(x, 0) + v
-            if s:
-                acc[x] = s
-            else:
-                del acc[x]
-    return SparseFunction(target, acc)
+            acc[x] = acc.get(x, 0) + v
+    return function_from_sums(JohnsonParams(n, target_w), acc, den)
 
 
 def induce_down_one(f: SparseFunction) -> SparseFunction:
@@ -53,20 +49,16 @@ def induce_down_one(f: SparseFunction) -> SparseFunction:
     n, w = f.params.n, f.params.w
     if w == 0:
         raise ParameterError("cannot induce below weight 0")
-    target = JohnsonParams(n, w - 1)
-    acc: dict[int, Fraction] = {}
-    for y, v in f.entries.items():
+    den, nums = scaled_numerators(f)
+    acc: dict[int, int] = {}
+    for y, v in nums.items():
         ins = y
         while ins:
             abit = ins & -ins
             ins ^= abit
             x = y ^ abit
-            s = acc.get(x, 0) + v
-            if s:
-                acc[x] = s
-            else:
-                del acc[x]
-    return SparseFunction(target, acc)
+            acc[x] = acc.get(x, 0) + v
+    return function_from_sums(JohnsonParams(n, w - 1), acc, den)
 
 
 def _delete_coordinate(mask: int, j: int) -> int:
@@ -82,21 +74,17 @@ def reduce(f: SparseFunction, j1: int, j2: int) -> SparseFunction:
     """
     n, w = f.params.n, f.params.w
     _check_reduction_coords(f.params, j1, j2)
-    target = JohnsonParams(n - 2, w - 1)
     hi, lo = max(j1, j2), min(j1, j2)
-    acc: dict[int, Fraction] = {}
-    for x, v in f.entries.items():
+    den, nums = scaled_numerators(f)
+    acc: dict[int, int] = {}
+    for x, v in nums.items():
         has1 = (x >> j1) & 1
         has2 = (x >> j2) & 1
         if has1 == has2:
             continue
         y = _delete_coordinate(_delete_coordinate(x, hi), lo)
-        s = acc.get(y, 0) + (v if has1 else -v)
-        if s:
-            acc[y] = s
-        else:
-            del acc[y]
-    return SparseFunction(target, acc)
+        acc[y] = acc.get(y, 0) + (v if has1 else -v)
+    return function_from_sums(JohnsonParams(n - 2, w - 1), acc, den)
 
 
 def _check_reduction_coords(params: JohnsonParams, j1: int, j2: int) -> None:

@@ -1,22 +1,27 @@
 """Closed-form spectrum of J(n,w), exact eigenspace bases, and eigenfunction checks.
 
 The eigenvalues are lambda_i = (w-i)(n-w-i) - i for i = 0..w with
-multiplicity C(n,i) - C(n,i-1). Eigenspace bases are realized exactly as
-nullspace(A - lambda_i I) over the vertices in combinadic rank order.
+multiplicity C(n,i) - C(n,i-1). Eigenspace bases are exact and, over the
+vertices in combinadic rank order, bit for bit the canonical
+nullspace(A - lambda_i I); they are built from the checked canonical +-1
+functions of standard tableaux, so no dense matrix is eliminated.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .canonical import pairing_values
 from .combinatorics import binomial, rank_subset
-from .errors import AmbiguousEigenvalueError, ParameterError, SizeBudgetError
-from .exact_linalg import ExactMatrix, nullspace
-from .johnson import JohnsonParams, SparseFunction, apply_adjacency, neighbors
+from .errors import AmbiguousEigenvalueError, BasisCheckError, ParameterError, SizeBudgetError
+from .exact_linalg import ExactMatrix, span_basis
+from .johnson import JohnsonParams, SparseFunction, adjacency_sums, neighbors, scaled_numerators
 
-# Largest vertex count for which a dense adjacency matrix is materialized.
+# Largest vertex count of adjacency_matrix and eigenspace_basis, whose
+# results are dense matrices with one row per vertex.
 DEFAULT_DENSE_BUDGET = 300
 
 # Bases kept by the (n, w, lambda) cache: one process rarely revisits more
@@ -114,11 +119,16 @@ class EigenspaceBasis:
         return self.member(coeffs)
 
 
-def adjacency_matrix(params: JohnsonParams, budget: int = DEFAULT_DENSE_BUDGET) -> ExactMatrix:
-    """Dense adjacency matrix of J(n,w) over vertices in rank order."""
+def _check_budget(params: JohnsonParams, budget: int) -> int:
     nverts = params.num_vertices
     if nverts > budget:
         raise SizeBudgetError(f"J({params.n},{params.w}) has {nverts} vertices, over the dense budget {budget}")
+    return nverts
+
+
+def adjacency_matrix(params: JohnsonParams, budget: int = DEFAULT_DENSE_BUDGET) -> ExactMatrix:
+    """Dense adjacency matrix of J(n,w) over vertices in rank order."""
+    nverts = _check_budget(params, budget)
     data = [0] * (nverts * nverts)
     for r, x in enumerate(params.vertices()):
         for y in neighbors(x, params):
@@ -127,9 +137,12 @@ def adjacency_matrix(params: JohnsonParams, budget: int = DEFAULT_DENSE_BUDGET) 
 
 
 def eigenspace_basis(params: JohnsonParams, i: int, budget: int = DEFAULT_DENSE_BUDGET) -> EigenspaceBasis:
-    """Exact basis of the lambda_i eigenspace via nullspace(A - lambda_i I).
+    """Exact basis of the lambda_i eigenspace, equal bit for bit to nullspace(A - lambda_i I).
 
-    The BASIS_CACHE_SIZE most recently used bases are cached per (n, w,
+    Built from checked canonical functions of standard tableaux, not from a
+    dense elimination; see _eigenspace_matrix for the proof that they span
+    the eigenspace. The budget still bounds the vertex count. The
+    BASIS_CACHE_SIZE most recently used bases are cached per (n, w,
     lambda); each call gets its own copy, so a caller that writes into the
     returned matrix cannot change later results.
     """
@@ -140,29 +153,66 @@ def eigenspace_basis(params: JohnsonParams, i: int, budget: int = DEFAULT_DENSE_
 
 @functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _eigenspace_matrix(n: int, w: int, lam: int, budget: int) -> ExactMatrix:
+    """The lambda eigenspace of J(n,w) in nullspace's canonical form.
+
+    The eigenvalues are lambda_j for j = 0..m, m = min(w, n-w), strictly
+    decreasing in j, so lam is at most one of them; any other lam has the
+    zero eigenspace. The generators come from the standard Young tableaux
+    of shape (n-j, j) on the coordinates: the second row is b_0 < ... <
+    b_{j-1} with b_k >= 2k+1, and a_k, the k-th smallest coordinate outside
+    {b}, tops column k. The canonical +-1 function of the pairs (a_k, b_k)
+    is the tableau's standard polytabloid (James 1978).
+
+    Proof that they span the eigenspace: every generator passes the integer
+    eigen-check, and span_basis checks that they span C(n,j) - C(n,j-1)
+    dimensions, the number of these tableaux. The same construction gives
+    every lambda_k, k <= m, a span of C(n,k) - C(n,k-1) dimensions (James's
+    standard basis theorem, and checked the same way whenever that
+    eigenspace is built); these sum to C(n,m) = C(n,w), and eigenspaces of
+    distinct eigenvalues are independent, so none is larger than its
+    generated span.
+    """
     params = JohnsonParams(n, w)
-    shifted = adjacency_matrix(params, budget)
-    nverts = shifted.rows
-    for r in range(nverts):
-        shifted.data[r * nverts + r] -= lam
-    return nullspace(shifted)
+    nverts = _check_budget(params, budget)
+    j = next((k for k in range(min(w, n - w) + 1) if eigenvalue(params, k) == lam), None)
+    if j is None:
+        return ExactMatrix(nverts, 0, [])
+    index = {x: r for r, x in enumerate(params.vertices())}
+    rows = []
+    for second in itertools.combinations(range(n), j):
+        if any(b < 2 * k + 1 for k, b in enumerate(second)):
+            continue
+        first = [c for c in range(n) if c not in second]
+        values = pairing_values(n, w, list(zip(first, second)))
+        if _failing_vertices(values, n, lam):
+            raise BasisCheckError(f"tableau {second} of J({n},{w}) gives no {lam}-eigenfunction")
+        row = [0] * nverts
+        for x, v in values.items():
+            row[index[x]] = v
+        rows.append(row)
+    return span_basis(rows, nverts, binomial(n, j) - binomial(n, j - 1))
+
+
+def _failing_vertices(nums: dict[int, int], n: int, lam: int) -> list[int]:
+    """Vertices x where lam * f(x) != (A f)(x), for f with integer values nums.
+
+    The equation can only fail on supp(f) united with supp(A f): elsewhere it
+    reads 0 = 0.
+    """
+    sums = adjacency_sums(nums, n)
+    return [x for x in nums.keys() | sums.keys() if sums.get(x, 0) != lam * nums.get(x, 0)]
 
 
 def is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:
-    """Check lam * f = A f, where A f is apply_adjacency(f) on integer numerators.
+    """Check lam * f = A f on the integer numerators of f.
 
-    The equation can only fail on supp(f) united with supp(A f): elsewhere it
-    reads 0 = 0, which is what makes verification possible without
-    enumerating all C(n,w) vertices. The certificate is the failing vertex
-    of lowest rank.
+    Only supp(f) and its neighborhood are visited, which is what makes
+    verification possible without enumerating all C(n,w) vertices. The
+    certificate is the failing vertex of lowest rank.
     """
     if f.is_zero():
         return EigenVerdict(holds=True, is_zero=True)
-    f_vals, g_vals = f.entries, apply_adjacency(f).entries
-    failing = [
-        x for x in f_vals.keys() | g_vals.keys()
-        if g_vals.get(x, 0) != lam * f_vals.get(x, 0)
-    ]
+    failing = _failing_vertices(scaled_numerators(f)[1], f.params.n, lam)
     if failing:
         return EigenVerdict(holds=False, is_zero=False, certificate=min(failing, key=rank_subset))
     return EigenVerdict(holds=True, is_zero=False)

@@ -180,6 +180,51 @@ def reference_is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:
     return EigenVerdict(holds=True, is_zero=False)
 
 
+def _accumulate(acc: dict, x: int, v: Fraction) -> None:
+    s = acc.get(x, 0) + v
+    if s:
+        acc[x] = s
+    else:
+        del acc[x]
+
+
+def reference_induce(f: SparseFunction, target_w: int) -> SparseFunction:
+    """Upward induction by adding one Fraction per (support vertex, superset) term."""
+    n, i = f.params.n, f.params.w
+    acc: dict[int, Fraction] = {}
+    for y, v in f.entries.items():
+        comp = [c for c in range(n) if not (y >> c) & 1]
+        for add in itertools.combinations(comp, target_w - i):
+            x = y
+            for c in add:
+                x |= 1 << c
+            _accumulate(acc, x, v)
+    return SparseFunction(JohnsonParams(n, target_w), acc)
+
+
+def reference_induce_down_one(f: SparseFunction) -> SparseFunction:
+    """One-step downward induction by adding one Fraction per (vertex, subset) term."""
+    acc: dict[int, Fraction] = {}
+    for y, v in f.entries.items():
+        for c in range(f.params.n):
+            if (y >> c) & 1:
+                _accumulate(acc, y ^ (1 << c), v)
+    return SparseFunction(JohnsonParams(f.params.n, f.params.w - 1), acc)
+
+
+def reference_reduce(f: SparseFunction, j1: int, j2: int) -> SparseFunction:
+    """The (j1, j2) reduction over Fractions, renumbering the survivors by position."""
+    n, w = f.params.n, f.params.w
+    survivors = [c for c in range(n) if c not in (j1, j2)]
+    acc: dict[int, Fraction] = {}
+    for x, v in f.entries.items():
+        has1, has2 = (x >> j1) & 1, (x >> j2) & 1
+        if has1 != has2:
+            y = sum(1 << p for p, c in enumerate(survivors) if (x >> c) & 1)
+            _accumulate(acc, y, v if has1 else -v)
+    return SparseFunction(JohnsonParams(n - 2, w - 1), acc)
+
+
 def dense_adjacency_by_definition(params: JohnsonParams):
     """Adjacency matrix built from the pairwise intersection rule only."""
     verts = list(params.vertices())

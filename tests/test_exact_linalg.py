@@ -1,15 +1,19 @@
 """Exact rank/nullspace against a textbook Fraction-elimination oracle."""
 
+import math
 from fractions import Fraction
 
+import pytest
+
 from johnson_eigen import (
+    BasisCheckError,
     ExactMatrix,
     JohnsonParams,
     adjacency_matrix,
     nullspace,
     rank,
 )
-from johnson_eigen.exact_linalg import IntEchelon, integer_row
+from johnson_eigen.exact_linalg import IntEchelon, integer_row, span_basis
 
 from conftest import make_rng, oracle_mat_vec, oracle_rank, random_rational
 
@@ -170,3 +174,32 @@ def test_empty_shapes():
     assert rank(ExactMatrix(0, 3, [])) == 0
     assert nullspace(ExactMatrix(0, 3, [])) == ExactMatrix.identity(3)
     assert nullspace(ExactMatrix(2, 0, [])) == ExactMatrix(0, 0, [])
+
+
+def _kernel_rows(k):
+    """The columns of k as integer rows, each scaled by a different nonzero factor."""
+    return [[int(x * math.lcm(*(y.denominator for y in col))) * (-1) ** c * (c + 1) for x in col]
+            for c, col in enumerate(k.column(c) for c in range(k.cols))]
+
+
+def test_span_basis_equals_nullspace_of_any_matrix_with_that_kernel():
+    rng = make_rng(41)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+        k = nullspace(random_matrix(rng, rows, cols))
+        gens = _kernel_rows(k)
+        # mixing the generators changes the rows, not their span
+        if len(gens) > 1:
+            gens[0] = [a + 3 * b for a, b in zip(gens[0], gens[1])]
+        assert span_basis(gens, cols, k.cols) == k
+
+
+def test_span_basis_raises_when_the_rows_lose_rank():
+    k = nullspace(shifted_adjacency(JohnsonParams(5, 2), -2))
+    gens = _kernel_rows(k)
+    assert span_basis(gens, 10, 5) == k
+    gens[-1] = list(gens[0])
+    with pytest.raises(BasisCheckError):
+        span_basis(gens, 10, 5)
+    with pytest.raises(BasisCheckError):
+        span_basis(gens + [gens[0]], 10, 6)

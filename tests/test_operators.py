@@ -29,7 +29,15 @@ from johnson_eigen import (
 )
 from johnson_eigen.operators import swap_maps_to
 
-from conftest import block_symmetrized_function, make_rng, random_member, random_sparse_function
+from conftest import (
+    block_symmetrized_function,
+    make_rng,
+    random_member,
+    random_sparse_function,
+    reference_induce,
+    reference_induce_down_one,
+    reference_reduce,
+)
 
 V = vertex_from_elements
 
@@ -325,3 +333,26 @@ def test_reduce_induce_interplay():
             r = reduce(f, 0, 1)
             expected = build_canonical(JohnsonParams(n - 2, w - 1), PairingConfig(((0, 1),))).scale(-2)
             assert r == expected
+
+
+@st.composite
+def _rational_functions(draw):
+    n = draw(st.integers(1, 8))
+    w = draw(st.integers(0, n))
+    params = JohnsonParams(n, w)
+    value = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+    support = draw(st.lists(st.sampled_from(list(params.vertices())), unique=True))
+    return SparseFunction(params, {x: draw(value) for x in support})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_functions(), st.data())
+def test_integer_operators_match_fraction_references(f, data):
+    n, w = f.params.n, f.params.w
+    target_w = data.draw(st.integers(w, n))
+    assert induce(f, target_w) == reference_induce(f, target_w)
+    if w >= 1:
+        assert induce_down_one(f) == reference_induce_down_one(f)
+    if 1 <= w < n:
+        j1, j2 = data.draw(st.permutations(range(n)))[:2]
+        assert reduce(f, j1, j2) == reference_reduce(f, j1, j2)

@@ -8,17 +8,23 @@ from hypothesis import strategies as st
 
 from johnson_eigen import (
     AmbiguousEigenvalueError,
+    BasisCheckError,
     JohnsonParams,
     SizeBudgetError,
     SparseFunction,
+    adjacency_matrix,
     binomial,
     build_canonical,
     default_pairing,
     eigenspace_basis,
+    eigenvalue,
     eigenvalue_index,
     is_eigenfunction,
+    nullspace,
     spectrum,
     verify_bound,
+    exact_linalg,
+    spectral,
     vertex_from_elements,
 )
 
@@ -159,8 +165,6 @@ def test_is_eigenfunction_matches_gather_reference(case):
 
 
 def test_basis_columns_satisfy_matrix_equation():
-    from johnson_eigen import adjacency_matrix
-
     p = JohnsonParams(5, 2)
     a = adjacency_matrix(p)
     for e in spectrum(p):
@@ -199,3 +203,88 @@ def test_basis_cache_is_bounded():
     for n, w, i in keys:
         eigenspace_basis(JohnsonParams(n, w), i)
     assert _eigenspace_matrix.cache_info().currsize == BASIS_CACHE_SIZE
+
+
+def _dense_eigenspace(params, lam):
+    shifted = adjacency_matrix(params)
+    for r in range(shifted.rows):
+        shifted.data[r * shifted.rows + r] -= lam
+    return nullspace(shifted)
+
+
+@pytest.mark.parametrize("n,w", [(n, w) for n in range(10) for w in range(n + 1)] + [(10, 4)])
+def test_eigenspace_basis_equals_dense_nullspace(n, w):
+    # every index, including i > n-w on w > n/2 where the eigenspace is empty
+    p = JohnsonParams(n, w)
+    dense = {}
+    for i in range(w + 1):
+        lam = eigenvalue(p, i)
+        if lam not in dense:
+            dense[lam] = _dense_eigenspace(p, lam)
+        assert eigenspace_basis(p, i).basis == dense[lam], (n, w, i)
+
+
+def test_shared_eigenvalue_gives_the_same_basis():
+    # J(4,3): lambda_2 = lambda_3 = -3 is no eigenvalue, so both bases are empty
+    p = JohnsonParams(4, 3)
+    second, third = eigenspace_basis(p, 2).basis, eigenspace_basis(p, 3).basis
+    assert second == third == _dense_eigenspace(p, -3)
+    assert (second.rows, second.cols) == (4, 0)
+
+
+def _fresh_bases(params):
+    spectral._eigenspace_matrix.cache_clear()
+    return [eigenspace_basis(params, i) for i in range(params.w + 1)]
+
+
+def test_eigenspace_basis_never_calls_nullspace(monkeypatch):
+    def forbidden(m):
+        raise AssertionError("eigenspace_basis called nullspace")
+
+    monkeypatch.setattr(exact_linalg, "nullspace", forbidden)
+    monkeypatch.setattr(spectral, "nullspace", forbidden, raising=False)
+    for n, w in [(4, 3), (5, 2), (6, 3), (7, 4), (9, 4)]:
+        _fresh_bases(JohnsonParams(n, w))
+
+
+def test_every_generator_is_checked(monkeypatch):
+    calls = []
+    check = spectral._failing_vertices
+
+    def counting(nums, n, lam):
+        calls.append(lam)
+        return check(nums, n, lam)
+
+    monkeypatch.setattr(spectral, "_failing_vertices", counting)
+    bases = _fresh_bases(JohnsonParams(9, 4))
+    assert len(calls) == sum(b.dimension for b in bases) == binomial(9, 4) == 126
+
+
+def test_generator_failing_its_eigen_check_raises(monkeypatch):
+    values = spectral.pairing_values
+
+    def broken(n, w, pairs):
+        out = values(n, w, pairs)
+        x = min(out)
+        out[x] = -out[x]
+        return out
+
+    monkeypatch.setattr(spectral, "pairing_values", broken)
+    spectral._eigenspace_matrix.cache_clear()
+    with pytest.raises(BasisCheckError):
+        eigenspace_basis(JohnsonParams(6, 3), 1)
+    spectral._eigenspace_matrix.cache_clear()
+
+
+def test_generators_losing_rank_raise(monkeypatch):
+    values = spectral.pairing_values
+    first = {}
+
+    def repeated(n, w, pairs):
+        return first.setdefault((n, w), values(n, w, pairs))
+
+    monkeypatch.setattr(spectral, "pairing_values", repeated)
+    spectral._eigenspace_matrix.cache_clear()
+    with pytest.raises(BasisCheckError):
+        eigenspace_basis(JohnsonParams(6, 3), 2)
+    spectral._eigenspace_matrix.cache_clear()
