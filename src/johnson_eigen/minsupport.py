@@ -1,19 +1,27 @@
 """Exact minimum-support search over an eigenspace, by two independent algorithms.
 
 Both algorithms work with the N x d basis matrix, one row per vertex in rank
-order. A nonzero member of the span is determined (up to scale) by its zero
-set Z, a set of rows of rank at most d-1; the support is N minus the size of
-the largest achievable zero set.
+order, which must have full column rank. A nonzero member of the span is
+determined (up to scale) by its zero set Z, a set of rows of rank at most d-1;
+the support is N minus the size of the largest achievable zero set.
+
+Lemma (the elementary vectors of a subspace: Rockafellar 1969): a member c of
+inclusion-minimal support, so any of minimum support, has a zero set Z of
+rank exactly d-1 and is its unique kernel vector up to scale. Else the kernel
+of Z holds a c' independent of c; c' is nonzero on some row r of supp(c), as
+the rows have rank d, and c - (c(r)/c'(r)) c' is nonzero and zero on Z and r.
 
   - branch and bound: depth-first over vertices in rank order, deciding
     "forced zero" vs "free"; the forced rows' rank is maintained
-    incrementally, branches die when it reaches d, and once it reaches d-1
-    the kernel vector is unique and is measured directly.
+    incrementally, and once it reaches d-1 the kernel vector is unique and
+    is measured directly. By the lemma the leaves, whose forced rows have
+    lower rank, need no measuring (see min_support_bnb).
   - hyperplane enumeration: every (d-1)-subset of rows spanning rank exactly
-    d-1 determines a kernel normal; count the rows orthogonal to it.
+    d-1 determines a kernel normal; count the rows orthogonal to it. By the
+    lemma this is complete for the minimum.
 
-The branch and bound is complete and is the authority; the hyperplane scan
-can miss zero sets of rank below d-1 and serves as the independent confirmer.
+The branch and bound is the authority; the hyperplane scan is the
+independent confirmer.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError
-from .exact_linalg import IntEchelon, integer_row
+from .exact_linalg import IntEchelon
 from .johnson import JohnsonParams, SparseFunction
 from .spectral import EigenspaceBasis, eigenspace_basis, is_eigenfunction
 
@@ -69,11 +77,6 @@ class SearchReport:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-def _scaled_int_rows(basis) -> list[tuple[int, ...]]:
-    """Each basis row rescaled to coprime integers; zero sets are unchanged."""
-    return [integer_row(basis.row(r)) for r in range(basis.rows)]
-
-
 def _check_witness_cap(witness_cap: int) -> None:
     if witness_cap < 1:
         raise ParameterError(f"witness_cap must be at least 1, got {witness_cap}")
@@ -94,13 +97,16 @@ def _normal(coeff: tuple[int, ...]) -> tuple[int, ...]:
 class _WitnessPool:
     """Distinct minimum-support value vectors, deduplicated up to scalar.
 
-    The basis has full column rank, so c -> basis @ c is injective and two
-    offers give the same vector up to scalar exactly when their coefficient
-    vectors agree up to scalar. Offers are therefore deduplicated by their
-    normal first, and each distinct normal is valued once, in integers, on
-    the basis scaled by the lcm of all its denominators. A value vector is
-    stored divided by its gcd with a positive value at the lowest-rank
-    support vertex.
+    The basis must have full column rank (the lemma in the module docstring
+    needs it too); ParameterError is raised otherwise. Then c -> basis @ c
+    is injective and two offers give the same vector up to scalar exactly
+    when their coefficient vectors agree up to scalar. Offers are therefore
+    deduplicated by their normal first, and each distinct normal is valued
+    once, in integers, on the basis scaled by the lcm of all its
+    denominators. A value vector is stored divided by its gcd with a
+    positive value at the lowest-rank support vertex. Both searches run on
+    these rows too: a positive scaling of a row changes no reduced row,
+    kernel or zero test.
     """
 
     def __init__(self, basis, cap: int, stats: SearchStats):
@@ -109,6 +115,13 @@ class _WitnessPool:
             tuple(x.numerator * (den // x.denominator) for x in basis.row(r))
             for r in range(basis.rows)
         ]
+        ech = IntEchelon(basis.cols)
+        for row in self.rows:
+            reduced = ech.reduce(row)
+            if reduced:
+                ech.push(reduced)
+        if ech.rank < basis.cols:
+            raise ParameterError(f"basis has rank {ech.rank}, below its {basis.cols} columns")
         self.cap = cap
         self.stats = stats
         self.best: int | None = None
@@ -131,12 +144,27 @@ class _WitnessPool:
         return sorted(self.vectors.values())[: self.cap]
 
 
-def _functions_from_vectors(params: JohnsonParams, vectors) -> list[SparseFunction]:
+def _report(space, pool, stats, t0, proven, algorithm) -> SearchReport:
+    """The report of one search; canonical matching is left to verify_bound."""
+    stats.elapsed = time.perf_counter() - t0
+    params = space.params
     verts = list(params.vertices())
-    return [
+    witnesses = [
         SparseFunction(params, {x: v for x, v in zip(verts, vals) if v})
-        for vals in vectors
+        for vals in pool.final_vectors()
     ]
+    return SearchReport(
+        params=params,
+        i=space.i,
+        lam=space.lam,
+        min_support=pool.best,
+        witnesses=witnesses,
+        bound=support_size_bound(params.n, params.w, space.i),
+        attained_by_canonical=None,
+        proven_optimal=proven,
+        algorithm=algorithm,
+        stats=stats,
+    )
 
 
 def min_support_bnb(
@@ -148,11 +176,21 @@ def min_support_bnb(
     """Exact minimum support over all nonzero members of the eigenspace.
 
     Complete search: every zero pattern of a nonzero member corresponds to
-    exactly one root-to-leaf path, the prune on forced rank d is definitional,
-    the prune on frees > incumbent can only discard patterns with strictly
-    larger support, and at rank d-1 the unique kernel vector is measured
-    exactly, so ties at the incumbent are never lost. If the node budget runs
-    out the best value found so far is returned flagged as not proven.
+    exactly one root-to-leaf path, the prune on frees > incumbent can only
+    discard patterns with strictly larger support, and at rank d-1 the
+    unique kernel vector is measured exactly, so ties at the incumbent are
+    never lost. A node at rank d-1 returns before it pushes a row, so rank d
+    is never reached.
+
+    A leaf (k == N) has forced rank below d-1, and the frees prune always
+    stops it. Its frees F are the rows outside its forced rows Z, and F is
+    not empty, as the rows have rank d; let r be its first row. Z and r have
+    rank at most d-1, so some nonzero member is zero on them; take one of
+    inclusion-minimal support. By the lemma in the module docstring its zero
+    set has rank d-1, and its support lies in F minus r. Its path forces rows
+    0..r and is explored before the leaf's, which frees r, so the incumbent
+    is at most |F|-1 when the leaf is reached. If the node budget runs out
+    the best value found so far is returned flagged as not proven.
     """
     _check_witness_cap(witness_cap)
     basis = space.basis
@@ -160,10 +198,10 @@ def min_support_bnb(
     if d < 1:
         raise ParameterError("eigenspace is empty; nothing to search")
     t0 = time.perf_counter()
-    rows = _scaled_int_rows(basis)
-    ech = IntEchelon(d)
     stats = SearchStats()
     pool = _WitnessPool(basis, witness_cap, stats)
+    rows = pool.rows
+    ech = IntEchelon(d)
     incumbent = upper_bound_hint if upper_bound_hint is not None else nverts + 1
     exhausted = False
 
@@ -180,12 +218,8 @@ def min_support_bnb(
             return
         if len(frees) > incumbent_now():
             return
-        rank = ech.rank
-        if rank == d:
-            return
-        if rank == d - 1:
-            kern = ech.kernel()
-            c = kern[0]
+        if ech.rank == d - 1:
+            c = ech.kernel()[0]
             if any(_dot(rows[r], c) == 0 for r in frees):
                 return
             support = sum(1 for r in range(nverts) if _dot(rows[r], c) != 0)
@@ -193,7 +227,6 @@ def min_support_bnb(
                 pool.offer(support, c)
             return
         if k == nverts:
-            _handle_leaf(frees)
             return
         reduced = ech.reduce(rows[k])
         if not reduced:
@@ -207,56 +240,8 @@ def min_support_bnb(
         visit(k + 1, frees)
         frees.pop()
 
-    def _handle_leaf(frees: list[int]) -> None:
-        kern = ech.kernel()
-        for r in frees:
-            if all(_dot(rows[r], c) == 0 for c in kern):
-                return
-        support = len(frees)
-        if support > incumbent_now():
-            return
-        coeff = _generic_kernel_member(kern, rows, support, nverts)
-        if coeff is not None:
-            pool.offer(support, coeff)
-
     visit(0, [])
-    stats.elapsed = time.perf_counter() - t0
-    vectors = pool.final_vectors()
-    return SearchReport(
-        params=space.params,
-        i=space.i,
-        lam=space.lam,
-        min_support=pool.best,
-        witnesses=_functions_from_vectors(space.params, vectors),
-        bound=support_size_bound(space.params.n, space.params.w, space.i),
-        attained_by_canonical=None,
-        proven_optimal=not exhausted,
-        algorithm="bnb",
-        stats=stats,
-    )
-
-
-def _generic_kernel_member(kern, rows, target_support, nverts):
-    """A kernel combination whose zero set is exactly the common zero set.
-
-    Combinations sum(t^j * kern[j]) avoid each bad hyperplane for all but
-    deg < dim(kern) values of t, so small t are tried in order and the first
-    one whose support matches is returned.
-    """
-    if len(kern) == 1:
-        return kern[0]
-    max_tries = (len(kern) - 1) * nverts + 1
-    for t in range(1, max_tries + 1):
-        coeff = [0] * len(kern[0])
-        tj = 1
-        for vec in kern:
-            for pos, x in enumerate(vec):
-                coeff[pos] += tj * x
-            tj *= t
-        c = tuple(coeff)
-        if sum(1 for r in range(nverts) if _dot(rows[r], c) != 0) == target_support:
-            return c
-    return None
+    return _report(space, pool, stats, t0, not exhausted, "bnb")
 
 
 def min_support_hyperplane(
@@ -267,9 +252,10 @@ def min_support_hyperplane(
 ) -> SearchReport:
     """Minimum support via enumeration of all C(N, d-1) row subsets.
 
-    Complete whenever every inclusion-maximal zero set has rank exactly d-1;
-    always cross-checked against the branch and bound before a result is
-    treated as final.
+    Complete for the minimum: by the lemma in the module docstring a
+    minimum-support member is the kernel normal of the d-1 independent rows
+    its zero set contains. Always cross-checked against the branch and
+    bound before a result is treated as final.
     """
     _check_witness_cap(witness_cap)
     basis = space.basis
@@ -284,42 +270,26 @@ def min_support_hyperplane(
             f"hyperplane enumeration needs {total} subsets, over the budget {subset_budget}"
         )
     t0 = time.perf_counter()
-    rows = _scaled_int_rows(basis)
     stats = SearchStats()
     pool = _WitnessPool(basis, witness_cap, stats)
+    rows = pool.rows
     # one forked process per chunk: never more than the machine has
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and total >= 4096:
         results = _hyperplane_parallel(rows, nverts, d, total, workers)
-        for subsets_done, found in results:
-            stats.subsets += subsets_done
-            for support, coeff in found:
-                pool.offer(support, coeff)
     else:
-        subsets_done, found = _hyperplane_scan(rows, nverts, d, 0, total)
-        stats.subsets = subsets_done
+        results = [_hyperplane_scan(rows, nverts, d, 0, total)]
+    for subsets_done, found in results:
+        stats.subsets += subsets_done
         for support, coeff in found:
             pool.offer(support, coeff)
-    stats.elapsed = time.perf_counter() - t0
-    vectors = pool.final_vectors()
-    return SearchReport(
-        params=space.params,
-        i=space.i,
-        lam=space.lam,
-        min_support=pool.best,
-        witnesses=_functions_from_vectors(space.params, vectors),
-        bound=support_size_bound(space.params.n, space.params.w, space.i),
-        attained_by_canonical=None,
-        proven_optimal=True,
-        algorithm="hyperplane",
-        stats=stats,
-    )
+    return _report(space, pool, stats, t0, True, "hyperplane")
 
 
 def _hyperplane_scan(rows, nverts, d, start, stop):
     """Scan combinations with lexicographic index in [start, stop)."""
     found = []
-    best = -1
+    best = nverts
     done = 0
     it = itertools.islice(itertools.combinations(range(nverts), d - 1), start, stop)
     for subset in it:
@@ -332,10 +302,9 @@ def _hyperplane_scan(rows, nverts, d, start, stop):
         if ech.rank != d - 1:
             continue
         c = ech.kernel()[0]
-        zeros = sum(1 for r in range(nverts) if _dot(rows[r], c) == 0)
-        support = nverts - zeros
-        if best == -1 or support <= best:
-            best = min(best, support) if best != -1 else support
+        support = sum(1 for r in range(nverts) if _dot(rows[r], c) != 0)
+        if support <= best:
+            best = support
             found.append((support, c))
     return done, found
 
@@ -367,8 +336,9 @@ def verify_bound(
     The canonical function, when it exists, is verified as an eigenfunction
     and its support seeds the incumbent; it is a member of the eigenspace, so
     the search can never do worse. attained_by_canonical records whether the
-    minimum equals the bound and every reported witness is a scalar multiple
-    of a canonical function; it stays None if optimality was not proven.
+    minimum equals the bound and at least one reported witness is a scalar
+    multiple of a canonical function, all_witnesses_canonical whether every
+    one is; both stay None if optimality was not proven.
     """
     _check_witness_cap(witness_cap)
     space = eigenspace_basis(params, i)

@@ -124,6 +124,16 @@ def _oracle_reduce_row(echelon, row):
     return [x // g for x in cur] if g > 1 else cur
 
 
+def per_row_integers(basis) -> list[list[int]]:
+    """Each basis row scaled by the lcm of its own denominators."""
+    rows = []
+    for r in range(basis.rows):
+        row = basis.row(r)
+        den = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * den) for x in row])
+    return rows
+
+
 def exhaustive_min_support(space: EigenspaceBasis) -> int:
     """Unpruned zero-set enumeration: the largest row subset of rank < d.
 
@@ -134,11 +144,7 @@ def exhaustive_min_support(space: EigenspaceBasis) -> int:
     """
     basis = space.basis
     nverts, d = basis.rows, basis.cols
-    rows = []
-    for r in range(nverts):
-        row = basis.row(r)
-        den = math.lcm(*(x.denominator for x in row))
-        rows.append([int(x * den) for x in row])
+    rows = per_row_integers(basis)
     best = [0]
 
     def visit(k, echelon, size):
@@ -272,10 +278,15 @@ def reference_witness_values(basis, coeff) -> tuple[Fraction, ...]:
 
 class ReferenceWitnessPool:
     """The witness pool valued over Fractions on every offer, with no deduplication
-    before valuing: keeps the first 4*cap distinct vectors at the best support."""
+    before valuing: keeps the first 4*cap distinct vectors at the best support.
+
+    A search runs on the pool's rows; these are scaled row by row, not by one
+    lcm, so a search patched to use this pool also checks that the scaling of
+    the rows changes nothing."""
 
     def __init__(self, basis, cap, stats=None):
         self.basis = basis
+        self.rows = per_row_integers(basis)
         self.cap = cap
         self.best = None
         self.vectors = {}

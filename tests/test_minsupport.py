@@ -25,6 +25,7 @@ from johnson_eigen import (
 from johnson_eigen import minsupport
 from johnson_eigen.exact_linalg import ExactMatrix
 from johnson_eigen.minsupport import SearchStats, _WitnessPool
+from johnson_eigen.spectral import EigenspaceBasis
 
 from conftest import ReferenceWitnessPool, exhaustive_min_support, oracle_rank
 
@@ -50,6 +51,16 @@ def test_bnb_equals_exhaustive_enumeration(n, w, i):
     report = min_support_bnb(space)
     assert report.proven_optimal
     assert report.min_support == exhaustive_min_support(space)
+    _assert_zero_sets_have_rank_d_minus_one(space, report.witnesses)
+
+
+def _assert_zero_sets_have_rank_d_minus_one(space, witnesses):
+    # minimum-support members are elementary vectors: their zero sets have rank d-1
+    assert witnesses
+    verts = list(space.params.vertices())
+    for w_fn in witnesses:
+        zero_rows = [space.basis.row(r) for r, x in enumerate(verts) if x not in w_fn.entries]
+        assert oracle_rank(zero_rows) == space.dimension - 1
 
 
 @pytest.mark.parametrize("n,w,i", [c for c in SMALL_INSTANCES if c[0] >= 4])
@@ -111,6 +122,18 @@ def test_bnb_budget_exhaustion_flagged():
     assert full.proven_optimal
     if report.min_support is not None:
         assert report.min_support >= full.min_support
+
+
+@pytest.mark.parametrize("column", ["zero", "repeated"])
+def test_searches_reject_basis_without_full_column_rank(column):
+    space = eigenspace_basis(JohnsonParams(5, 2), 1)
+    rows = space.basis.row_lists()
+    basis = ExactMatrix.from_rows([row + [0 if column == "zero" else row[0]] for row in rows])
+    bad = EigenspaceBasis(space.params, space.i, space.lam, basis)
+    with pytest.raises(ParameterError, match="rank 4, below its 5 columns"):
+        min_support_bnb(bad)
+    with pytest.raises(ParameterError, match="rank 4, below its 5 columns"):
+        min_support_hyperplane(bad)
 
 
 def test_dimension_one_searchable_by_bnb():
@@ -303,3 +326,34 @@ def test_verify_bound_witnesses_match_fraction_pool(monkeypatch, n, w, i):
     assert (new.min_support, new.attained_by_canonical, new.all_witnesses_canonical) == (
         old.min_support, old.attained_by_canonical, old.all_witnesses_canonical
     )
+
+
+@st.composite
+def _generic_subspaces(draw):
+    # C(n,2) rows for n in 4..6, so the witnesses are functions on J(n,2)
+    params = JohnsonParams(draw(st.sampled_from([4, 5, 6])), 2)
+    d = draw(st.integers(1, 5))
+    entry = st.integers(-2, 2)
+    rows = draw(st.lists(
+        st.lists(entry, min_size=d, max_size=d),
+        min_size=params.num_vertices, max_size=params.num_vertices,
+    ))
+    assume(oracle_rank(rows) == d)
+    # the search reads only the basis; index and eigenvalue are labels here
+    return EigenspaceBasis(params, 1, 0, ExactMatrix.from_rows(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generic_subspaces())
+def test_searches_exact_on_generic_subspaces(space):
+    # random matroids have many zero sets of rank below d-1, unlike eigenspaces
+    expected = exhaustive_min_support(space)
+    for hint in (None, space.basis.rows):
+        report = min_support_bnb(space, upper_bound_hint=hint)
+        assert report.proven_optimal
+        assert report.min_support == expected
+        _assert_zero_sets_have_rank_d_minus_one(space, report.witnesses)
+    if space.dimension >= 2:
+        hyper = min_support_hyperplane(space)
+        assert hyper.min_support == expected
+        _assert_zero_sets_have_rank_d_minus_one(space, hyper.witnesses)
