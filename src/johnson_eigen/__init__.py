@@ -66,6 +66,7 @@ from .spectral import (
     EigenVerdict,
     adjacency_matrix,
     eigenspace_basis,
+    eigenspace_dimension,
     eigenvalue,
     eigenvalue_index,
     is_eigenfunction,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .combinatorics import binomial
 from .errors import ParameterError
 from .johnson import JohnsonParams, SparseFunction
-from .operators import coordinate_partition, swap_maps_to
+from .operators import swap_maps_to
 
 Pair = tuple[int, int]
 
@@ -110,11 +110,12 @@ class CanonicalMatch:
 def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
     """Recognize f as scalar * canonical function with i pairs, if it is one.
 
-    Candidate pairs are read off the zero-pair coordinate partition: paired
-    coordinates are singleton blocks, and two of them belong together exactly
-    when transposing them negates f. The reported pairing is normalized to a
-    positive scalar with at most the last pair flipped relative to
-    smaller-element-first order, which makes the result deterministic.
+    Candidate pairs are the coordinate pairs whose transposition negates f:
+    for a multiple of the canonical function of P they are exactly P, and
+    any other f fails the final comparison. For i >= 1 the reported pairing
+    is normalized to a positive scalar with at most the last pair flipped
+    relative to smaller-element-first order, which makes the result
+    deterministic.
     """
     params = f.params
     n, w = params.n, params.w
@@ -127,18 +128,8 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
     if f.support_size != support_size_bound(n, w, i):
         return None
 
-    if i == 0:
-        values = set(f.entries.values())
-        if len(values) != 1:
-            return None
-        return CanonicalMatch(PairingConfig(()), values.pop())
-
-    partition = coordinate_partition(f)
-    singles = partition.singletons()
-    if len(singles) < 2 * i:
-        return None
     partner: dict[int, int] = {}
-    for a, b in itertools.combinations(singles, 2):
+    for a, b in itertools.combinations(range(n), 2):
         if swap_maps_to(f, a, b, -1):
             if a in partner or b in partner:
                 return None
@@ -156,7 +147,7 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
     scalar = f.entries[x0] / g.entries[x0]
     if any(f.entries[x] != scalar * gv for x, gv in g.entries.items()):
         return None
-    if scalar < 0:
+    if scalar < 0 and pairs:
         # flipping one pair negates the function; flip the last for canonical order
         last = pairs[-1]
         pairs = pairs[:-1] + ((last[1], last[0]),)

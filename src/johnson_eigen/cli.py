@@ -44,6 +44,7 @@ from .spectral import (
     DEFAULT_DENSE_BUDGET,
     eigenvalue,
     eigenspace_basis,
+    eigenspace_dimension,
     is_eigenfunction,
     spectrum,
 )
@@ -225,25 +226,28 @@ def cmd_partition(args) -> int:
 
 def cmd_minsupport(args) -> int:
     params = JohnsonParams(args.n, args.w)
-    space = eigenspace_basis(params, args.i)
-    if space.dimension < 1:
-        raise ParameterError(f"eigenspace of J({args.n},{args.w}) at index {args.i} is empty")
+    dim = eigenspace_dimension(params, args.i)
     node_budget = args.budget or DEFAULT_NODE_BUDGET
     subset_budget = args.budget or DEFAULT_SUBSET_BUDGET
     if args.algo == "both":
+        # verify_bound builds the space and, like the branch below, checks its size before emptiness
         report = verify_bound(
             params, args.i,
             node_budget=node_budget, subset_budget=subset_budget,
             witness_cap=args.witness_cap, workers=args.threads,
         )
-    elif args.algo == "bnb":
-        report = min_support_bnb(space, node_budget, args.witness_cap)
     else:
-        report = min_support_hyperplane(space, subset_budget, args.witness_cap, args.threads)
+        space = eigenspace_basis(params, args.i)
+        if dim < 1:
+            raise ParameterError(f"eigenspace of J({args.n},{args.w}) at index {args.i} is empty")
+        if args.algo == "bnb":
+            report = min_support_bnb(space, node_budget, args.witness_cap)
+        else:
+            report = min_support_hyperplane(space, subset_budget, args.witness_cap, args.threads)
     if args.json:
-        sys.stdout.write(dumps_document(_report_payload(report, space.dimension)))
+        sys.stdout.write(dumps_document(_report_payload(report, dim)))
     else:
-        _print_report_human(report, space.dimension)
+        _print_report_human(report, dim)
     if not report.proven_optimal:
         _error("BUDGET_EXHAUSTED", "search budget exhausted; result not proven optimal")
         return EXIT_BUDGET
@@ -262,8 +266,8 @@ def cmd_table(args) -> int:
                 if params.num_vertices > DEFAULT_DENSE_BUDGET:
                     rows.append([n, w, i, lam, "", bound, "", "", "skipped:size"])
                     continue
-                space = eigenspace_basis(params, i)
-                if space.dimension == 0:
+                dim = eigenspace_dimension(params, i)
+                if dim == 0:
                     rows.append([n, w, i, lam, 0, bound, "", "", "empty"])
                     continue
                 report = verify_bound(
@@ -274,11 +278,11 @@ def cmd_table(args) -> int:
                 )
                 if report.proven_optimal:
                     rows.append([
-                        n, w, i, lam, space.dimension, bound, report.min_support,
+                        n, w, i, lam, dim, bound, report.min_support,
                         report.attained_by_canonical, "ok",
                     ])
                 else:
-                    rows.append([n, w, i, lam, space.dimension, bound, "budget", "", "budget"])
+                    rows.append([n, w, i, lam, dim, bound, "budget", "", "budget"])
     header = ["n", "w", "i", "lambda", "dim", "bound", "min_support", "attained_canonical", "status"]
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:

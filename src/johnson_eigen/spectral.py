@@ -9,7 +9,6 @@ functions of standard tableaux, so no dense matrix is eliminated.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,10 +22,6 @@ from .johnson import JohnsonParams, SparseFunction, adjacency_sums, neighbors, s
 # Largest vertex count of adjacency_matrix and eigenspace_basis, whose
 # results are dense matrices with one row per vertex.
 DEFAULT_DENSE_BUDGET = 300
-
-# Bases kept by the (n, w, lambda) cache: one process rarely revisits more
-# than the handful of eigenspaces of one graph, so the oldest are dropped.
-BASIS_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -93,6 +88,10 @@ class EigenspaceBasis:
     lam: int
     basis: ExactMatrix
 
+    def __post_init__(self):
+        if self.basis.rows != self.params.num_vertices:
+            raise ParameterError(f"basis has {self.basis.rows} rows for {self.params.num_vertices} vertices")
+
     @property
     def dimension(self) -> int:
         return self.basis.cols
@@ -119,16 +118,16 @@ class EigenspaceBasis:
         return self.member(coeffs)
 
 
-def _check_budget(params: JohnsonParams, budget: int) -> int:
-    nverts = params.num_vertices
-    if nverts > budget:
-        raise SizeBudgetError(f"J({params.n},{params.w}) has {nverts} vertices, over the dense budget {budget}")
+def _check_budget(params: JohnsonParams) -> int:
+    nverts, cap = params.num_vertices, DEFAULT_DENSE_BUDGET
+    if nverts > cap:
+        raise SizeBudgetError(f"J({params.n},{params.w}) has {nverts} vertices, over the dense budget {cap}")
     return nverts
 
 
-def adjacency_matrix(params: JohnsonParams, budget: int = DEFAULT_DENSE_BUDGET) -> ExactMatrix:
+def adjacency_matrix(params: JohnsonParams) -> ExactMatrix:
     """Dense adjacency matrix of J(n,w) over vertices in rank order."""
-    nverts = _check_budget(params, budget)
+    nverts = _check_budget(params)
     data = [0] * (nverts * nverts)
     for r, x in enumerate(params.vertices()):
         for y in neighbors(x, params):
@@ -136,47 +135,46 @@ def adjacency_matrix(params: JohnsonParams, budget: int = DEFAULT_DENSE_BUDGET) 
     return ExactMatrix(nverts, nverts, data)
 
 
-def eigenspace_basis(params: JohnsonParams, i: int, budget: int = DEFAULT_DENSE_BUDGET) -> EigenspaceBasis:
+def _shape(params: JohnsonParams, i: int) -> int | None:
+    """The j <= m = min(w, n-w) with lambda_j = lambda_i, or None; lambda_0 > ... > lambda_m."""
+    n, w = params.n, params.w
+    lam = eigenvalue(params, i)
+    return next((j for j in range(min(w, n - w) + 1) if eigenvalue(params, j) == lam), None)
+
+
+def eigenspace_dimension(params: JohnsonParams, i: int) -> int:
+    """Dimension of the lambda_i eigenspace, for any size: C(n,j) - C(n,j-1) for
+    the shape (n-j, j) with lambda_j = lambda_i, or 0 if there is none."""
+    j = _shape(params, i)
+    return 0 if j is None else binomial(params.n, j) - binomial(params.n, j - 1)
+
+
+def eigenspace_basis(params: JohnsonParams, i: int) -> EigenspaceBasis:
     """Exact basis of the lambda_i eigenspace, equal bit for bit to nullspace(A - lambda_i I).
 
-    Built from checked canonical functions of standard tableaux, not from a
-    dense elimination; see _eigenspace_matrix for the proof that they span
-    the eigenspace. The budget still bounds the vertex count. The
-    BASIS_CACHE_SIZE most recently used bases are cached per (n, w,
-    lambda); each call gets its own copy, so a caller that writes into the
-    returned matrix cannot change later results.
-    """
-    lam = eigenvalue(params, i)
-    cached = _eigenspace_matrix(params.n, params.w, lam, budget)
-    return EigenspaceBasis(params, i, lam, ExactMatrix(cached.rows, cached.cols, cached.data))
-
-
-@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _eigenspace_matrix(n: int, w: int, lam: int, budget: int) -> ExactMatrix:
-    """The lambda eigenspace of J(n,w) in nullspace's canonical form.
-
-    The eigenvalues are lambda_j for j = 0..m, m = min(w, n-w), strictly
-    decreasing in j, so lam is at most one of them; any other lam has the
-    zero eigenspace. The generators come from the standard Young tableaux
-    of shape (n-j, j) on the coordinates: the second row is b_0 < ... <
-    b_{j-1} with b_k >= 2k+1, and a_k, the k-th smallest coordinate outside
-    {b}, tops column k. The canonical +-1 function of the pairs (a_k, b_k)
-    is the tableau's standard polytabloid (James 1978).
+    Each call builds a new basis; J(n,w) may have at most
+    DEFAULT_DENSE_BUDGET vertices. The eigenspace is zero unless lambda_i =
+    lambda_j for some j <= m = min(w, n-w). The generators come from the
+    standard Young tableaux of shape (n-j, j) on the coordinates: the second
+    row is b_0 < ... < b_{j-1} with b_k >= 2k+1, and a_k, the k-th smallest
+    coordinate outside {b}, tops column k. The canonical +-1 function of the
+    pairs (a_k, b_k) is the tableau's standard polytabloid (James 1978).
 
     Proof that they span the eigenspace: every generator passes the integer
-    eigen-check, and span_basis checks that they span C(n,j) - C(n,j-1)
-    dimensions, the number of these tableaux. The same construction gives
-    every lambda_k, k <= m, a span of C(n,k) - C(n,k-1) dimensions (James's
-    standard basis theorem, and checked the same way whenever that
-    eigenspace is built); these sum to C(n,m) = C(n,w), and eigenspaces of
-    distinct eigenvalues are independent, so none is larger than its
-    generated span.
+    eigen-check, and span_basis checks that they span eigenspace_dimension
+    = C(n,j) - C(n,j-1) dimensions, the number of these tableaux. The same
+    construction gives every lambda_k, k <= m, a span of C(n,k) - C(n,k-1)
+    dimensions (James's standard basis theorem, and checked the same way
+    whenever that eigenspace is built); these sum to C(n,m) = C(n,w), and
+    eigenspaces of distinct eigenvalues are independent, so none is larger
+    than its generated span.
     """
-    params = JohnsonParams(n, w)
-    nverts = _check_budget(params, budget)
-    j = next((k for k in range(min(w, n - w) + 1) if eigenvalue(params, k) == lam), None)
+    n, w = params.n, params.w
+    lam = eigenvalue(params, i)
+    nverts = _check_budget(params)
+    j = _shape(params, i)
     if j is None:
-        return ExactMatrix(nverts, 0, [])
+        return EigenspaceBasis(params, i, lam, ExactMatrix(nverts, 0, []))
     index = {x: r for r, x in enumerate(params.vertices())}
     rows = []
     for second in itertools.combinations(range(n), j):
@@ -190,7 +188,7 @@ def _eigenspace_matrix(n: int, w: int, lam: int, budget: int) -> ExactMatrix:
         for x, v in values.items():
             row[index[x]] = v
         rows.append(row)
-    return span_basis(rows, nverts, binomial(n, j) - binomial(n, j - 1))
+    return EigenspaceBasis(params, i, lam, span_basis(rows, nverts, eigenspace_dimension(params, i)))
 
 
 def _failing_vertices(nums: dict[int, int], n: int, lam: int) -> list[int]:

@@ -12,7 +12,19 @@ import math
 import random
 from fractions import Fraction
 
-from johnson_eigen import JohnsonParams, SparseFunction, neighbors, rank_subset
+from johnson_eigen import (
+    CanonicalMatch,
+    JohnsonParams,
+    PairingConfig,
+    ParameterError,
+    SparseFunction,
+    build_canonical,
+    coordinate_partition,
+    neighbors,
+    rank_subset,
+    support_size_bound,
+)
+from johnson_eigen.operators import swap_maps_to
 from johnson_eigen.spectral import EigenspaceBasis, EigenVerdict
 
 
@@ -184,6 +196,44 @@ def reference_is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:
         if lam_f * f(x) != acc:
             return EigenVerdict(holds=False, is_zero=False, certificate=x)
     return EigenVerdict(holds=True, is_zero=False)
+
+
+def reference_match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
+    """The canonical matcher with the zero-pair partition as a pre-filter: only
+    singleton blocks of coordinate_partition are tried as pair members."""
+    params = f.params
+    n, w = params.n, params.w
+    if f.is_zero():
+        raise ParameterError("match_canonical requires a nonzero function")
+    if not 0 <= i <= w:
+        raise ParameterError(f"index {i} out of range 0..{w}")
+    if w - i > n - 2 * i or f.support_size != support_size_bound(n, w, i):
+        return None
+    if i == 0:
+        values = set(f.entries.values())
+        return CanonicalMatch(PairingConfig(()), values.pop()) if len(values) == 1 else None
+    singles = coordinate_partition(f).singletons()
+    if len(singles) < 2 * i:
+        return None
+    partner: dict[int, int] = {}
+    for a, b in itertools.combinations(singles, 2):
+        if swap_maps_to(f, a, b, -1):
+            if a in partner or b in partner:
+                return None
+            partner[a], partner[b] = b, a
+    if len(partner) != 2 * i:
+        return None
+    pairs = tuple(sorted((a, partner[a]) for a in partner if a < partner[a]))
+    g = build_canonical(params, PairingConfig(pairs))
+    if set(g.entries) != set(f.entries):
+        return None
+    scalar = f.entries[min(f.entries)] / g.entries[min(f.entries)]
+    if any(f.entries[x] != scalar * gv for x, gv in g.entries.items()):
+        return None
+    if scalar < 0:
+        pairs = pairs[:-1] + (pairs[-1][::-1],)
+        scalar = -scalar
+    return CanonicalMatch(PairingConfig(pairs), scalar)
 
 
 def _accumulate(acc: dict, x: int, v: Fraction) -> None:

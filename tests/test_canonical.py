@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from johnson_eigen import (
     JohnsonParams,
@@ -18,7 +20,7 @@ from johnson_eigen import (
     vertex_from_elements,
 )
 
-from conftest import make_rng
+from conftest import make_rng, reference_match_canonical
 
 V = vertex_from_elements
 
@@ -163,3 +165,43 @@ def test_match_rejects_non_canonical_same_size():
 def test_match_zero_function_rejected():
     with pytest.raises(ParameterError):
         match_canonical(SparseFunction.zero(JohnsonParams(5, 2)), 1)
+
+
+@st.composite
+def matcher_inputs(draw):
+    """A canonical function of a random pairing times a scalar; the same with one
+    value negated or moved to a vertex off its support, or with its values
+    doubled on the vertices holding one unpaired coordinate, which every
+    pair swap still negates; or a random +-1 function with the bound's
+    support size. Returned with its index i."""
+    n = draw(st.integers(2, 9))
+    i = draw(st.integers(0, n // 2))
+    p = JohnsonParams(n, draw(st.integers(i, n - i)))
+    size = support_size_bound(n, p.w, i)
+    kind = draw(st.sampled_from(["canonical", "negated", "moved", "doubled", "random"]))
+    if kind == "random":
+        verts = draw(st.permutations(list(p.vertices())))[:size]
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=size, max_size=size))
+        return SparseFunction(p, dict(zip(verts, signs))), i
+    coords = draw(st.permutations(range(n)))
+    pairing = PairingConfig(tuple((coords[2 * k], coords[2 * k + 1]) for k in range(i)))
+    scalar = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-7)]))
+    entries = dict(build_canonical(p, pairing).scale(scalar).entries)
+    x = draw(st.sampled_from(sorted(entries)))
+    if kind == "negated":
+        entries[x] = -entries[x]
+    elif kind == "moved" and size < p.num_vertices:
+        off = [y for y in p.vertices() if y not in entries]
+        entries[draw(st.sampled_from(off))] = entries.pop(x)
+    elif kind == "doubled" and 2 * i < n:
+        c = draw(st.sampled_from(sorted(set(range(n)) - pairing.coordinates())))
+        entries = {y: 2 * v if y >> c & 1 else v for y, v in entries.items()}
+    return SparseFunction(p, entries), i
+
+
+@settings(max_examples=300, deadline=None)
+@given(matcher_inputs())
+def test_match_agrees_with_partition_prefiltered_reference(case):
+    f, i = case
+    for index in {i, max(i - 1, 0), min(i + 1, f.params.w)}:
+        assert match_canonical(f, index) == reference_match_canonical(f, index), (f, index)

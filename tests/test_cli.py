@@ -3,6 +3,9 @@
 import csv
 import json
 
+import pytest
+
+from johnson_eigen import spectral
 from johnson_eigen.cli import run
 
 
@@ -139,6 +142,39 @@ def test_minsupport_empty_eigenspace_usage_error(capsys):
     code, _, err = invoke(capsys, ["minsupport", "--n", "4", "--w", "3", "--i", "2"])
     assert code == 2
     assert "error[USAGE]" in err
+
+
+def _count_builds(monkeypatch) -> list[int]:
+    """Record the dimension of every eigenspace basis built from here on."""
+    built = []
+    span_basis = spectral.span_basis
+
+    def counting(rows, width, rank):
+        built.append(rank)
+        return span_basis(rows, width, rank)
+
+    monkeypatch.setattr(spectral, "span_basis", counting)
+    return built
+
+
+@pytest.mark.parametrize("algo,i,dim", [("both", 2, 9), ("bnb", 2, 9), ("hyperplane", 1, 5)])
+def test_minsupport_builds_its_eigenspace_once(capsys, monkeypatch, algo, i, dim):
+    built = _count_builds(monkeypatch)
+    code, out, _ = invoke(capsys, ["minsupport", "--n", "6", "--w", "3", "--i", str(i),
+                                   "--algo", algo, "--threads", "1", "--json"])
+    assert code == 0
+    assert built == [json.loads(out)["dim"]] == [dim]
+
+
+def test_table_builds_each_nonempty_eigenspace_once(capsys, monkeypatch):
+    built = _count_builds(monkeypatch)
+    code, out, _ = invoke(capsys, ["table", "--max-n", "6", "--threads", "1"])
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    statuses = [r[8] for r in rows]
+    assert statuses.count("ok") == 49 and statuses.count("empty") == 34
+    assert len(rows) == 83
+    assert built == [int(r[4]) for r in rows if r[8] == "ok"]
 
 
 def test_usage_errors(capsys):

@@ -136,6 +136,14 @@ def test_searches_reject_basis_without_full_column_rank(column):
         min_support_hyperplane(bad)
 
 
+@pytest.mark.parametrize("search", [min_support_bnb, min_support_hyperplane])
+def test_searches_reject_basis_without_one_row_per_vertex(search):
+    # 8 rows for the 6 vertices of J(4,2) used to give min support 2 with a witness of support 1
+    rows = ExactMatrix.from_rows([[1], [0], [0], [0], [0], [0], [0], [1]])
+    with pytest.raises(ParameterError, match="basis has 8 rows for 6 vertices"):
+        search(EigenspaceBasis(JohnsonParams(4, 2), 1, 0, rows))
+
+
 def test_dimension_one_searchable_by_bnb():
     space = eigenspace_basis(JohnsonParams(4, 2), 0)
     report = min_support_bnb(space)

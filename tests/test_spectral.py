@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from johnson_eigen import (
     AmbiguousEigenvalueError,
     BasisCheckError,
+    EigenspaceBasis,
+    ExactMatrix,
     JohnsonParams,
+    ParameterError,
     SizeBudgetError,
     SparseFunction,
     adjacency_matrix,
@@ -17,12 +20,12 @@ from johnson_eigen import (
     build_canonical,
     default_pairing,
     eigenspace_basis,
+    eigenspace_dimension,
     eigenvalue,
     eigenvalue_index,
     is_eigenfunction,
     nullspace,
     spectrum,
-    verify_bound,
     exact_linalg,
     spectral,
     vertex_from_elements,
@@ -99,10 +102,33 @@ def test_eigenvalue_index_lookup():
 
 
 def test_size_budget_enforced():
-    with pytest.raises(SizeBudgetError):
-        eigenspace_basis(JohnsonParams(12, 6), 1)
-    with pytest.raises(SizeBudgetError):
-        eigenspace_basis(JohnsonParams(11, 5), 1, budget=100)
+    # the fixed cap of 300 vertices at its edge: J(10,5) has 252, J(11,4) 330
+    assert eigenspace_basis(JohnsonParams(10, 5), 1).basis.rows == 252
+    for n, w in [(11, 4), (12, 6)]:
+        with pytest.raises(SizeBudgetError):
+            eigenspace_basis(JohnsonParams(n, w), 1)
+        with pytest.raises(SizeBudgetError):
+            adjacency_matrix(JohnsonParams(n, w))
+
+
+def test_eigenspace_dimension_matches_the_built_basis():
+    for n in range(11):
+        for w in range(n + 1):
+            p = JohnsonParams(n, w)
+            if p.num_vertices <= spectral.DEFAULT_DENSE_BUDGET:
+                for i in range(w + 1):
+                    assert eigenspace_dimension(p, i) == eigenspace_basis(p, i).dimension, (n, w, i)
+    # no size cap: J(12,8) i=7 is empty, J(20,10) i=3 has C(20,3) - C(20,2)
+    assert eigenspace_dimension(JohnsonParams(12, 8), 7) == 0
+    assert eigenspace_dimension(JohnsonParams(20, 10), 3) == 1140 - 190
+
+
+def test_eigenspace_basis_needs_one_row_per_vertex():
+    p = JohnsonParams(4, 2)
+    EigenspaceBasis(p, 1, 0, ExactMatrix.from_rows([[1]] * 6))
+    for nrows in (5, 8):
+        with pytest.raises(ParameterError, match=f"basis has {nrows} rows for 6 vertices"):
+            EigenspaceBasis(p, 1, 0, ExactMatrix.from_rows([[1]] * nrows))
 
 
 def test_is_eigenfunction_examples():
@@ -186,25 +212,6 @@ def test_eigenspace_basis_copies_are_private():
     assert again.basis is not first.basis
 
 
-def test_basis_cache_is_bounded():
-    from johnson_eigen.spectral import BASIS_CACHE_SIZE, _eigenspace_matrix
-
-    assert _eigenspace_matrix.cache_info().maxsize == BASIS_CACHE_SIZE
-    # a table cell looks up its basis, then verify_bound looks up the same key
-    p = JohnsonParams(5, 2)
-    eigenspace_basis(p, 1)
-    hits = _eigenspace_matrix.cache_info().hits
-    verify_bound(p, 1, workers=1)
-    assert _eigenspace_matrix.cache_info().hits == hits + 1
-    # more distinct bases than the cache holds: it stays at its bound
-    keys = [(n, w, e.i) for n in range(1, 8) for w in range(n + 1)
-            for e in spectrum(JohnsonParams(n, w))]
-    assert len(keys) > BASIS_CACHE_SIZE
-    for n, w, i in keys:
-        eigenspace_basis(JohnsonParams(n, w), i)
-    assert _eigenspace_matrix.cache_info().currsize == BASIS_CACHE_SIZE
-
-
 def _dense_eigenspace(params, lam):
     shifted = adjacency_matrix(params)
     for r in range(shifted.rows):
@@ -232,8 +239,7 @@ def test_shared_eigenvalue_gives_the_same_basis():
     assert (second.rows, second.cols) == (4, 0)
 
 
-def _fresh_bases(params):
-    spectral._eigenspace_matrix.cache_clear()
+def _all_bases(params):
     return [eigenspace_basis(params, i) for i in range(params.w + 1)]
 
 
@@ -244,7 +250,7 @@ def test_eigenspace_basis_never_calls_nullspace(monkeypatch):
     monkeypatch.setattr(exact_linalg, "nullspace", forbidden)
     monkeypatch.setattr(spectral, "nullspace", forbidden, raising=False)
     for n, w in [(4, 3), (5, 2), (6, 3), (7, 4), (9, 4)]:
-        _fresh_bases(JohnsonParams(n, w))
+        _all_bases(JohnsonParams(n, w))
 
 
 def test_every_generator_is_checked(monkeypatch):
@@ -256,7 +262,7 @@ def test_every_generator_is_checked(monkeypatch):
         return check(nums, n, lam)
 
     monkeypatch.setattr(spectral, "_failing_vertices", counting)
-    bases = _fresh_bases(JohnsonParams(9, 4))
+    bases = _all_bases(JohnsonParams(9, 4))
     assert len(calls) == sum(b.dimension for b in bases) == binomial(9, 4) == 126
 
 
@@ -270,10 +276,8 @@ def test_generator_failing_its_eigen_check_raises(monkeypatch):
         return out
 
     monkeypatch.setattr(spectral, "pairing_values", broken)
-    spectral._eigenspace_matrix.cache_clear()
     with pytest.raises(BasisCheckError):
         eigenspace_basis(JohnsonParams(6, 3), 1)
-    spectral._eigenspace_matrix.cache_clear()
 
 
 def test_generators_losing_rank_raise(monkeypatch):
@@ -284,7 +288,5 @@ def test_generators_losing_rank_raise(monkeypatch):
         return first.setdefault((n, w), values(n, w, pairs))
 
     monkeypatch.setattr(spectral, "pairing_values", repeated)
-    spectral._eigenspace_matrix.cache_clear()
     with pytest.raises(BasisCheckError):
         eigenspace_basis(JohnsonParams(6, 3), 2)
-    spectral._eigenspace_matrix.cache_clear()
