@@ -42,9 +42,6 @@ class PairingConfig:
     def coordinates(self) -> set[int]:
         return {c for p in self.pairs for c in p}
 
-    def minus_side(self) -> set[int]:
-        return {p[0] for p in self.pairs}
-
 
 def default_pairing(i: int) -> PairingConfig:
     """The reproducible default (0,1),(2,3),...,(2i-2,2i-1)."""
@@ -123,8 +120,6 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
         raise ParameterError("match_canonical requires a nonzero function")
     if not 0 <= i <= w:
         raise ParameterError(f"index {i} out of range 0..{w}")
-    if w - i > n - 2 * i:
-        return None
     if f.support_size != support_size_bound(n, w, i):
         return None
 

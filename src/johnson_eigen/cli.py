@@ -230,7 +230,6 @@ def cmd_minsupport(args) -> int:
     node_budget = args.budget or DEFAULT_NODE_BUDGET
     subset_budget = args.budget or DEFAULT_SUBSET_BUDGET
     if args.algo == "both":
-        # verify_bound builds the space and, like the branch below, checks its size before emptiness
         report = verify_bound(
             params, args.i,
             node_budget=node_budget, subset_budget=subset_budget,
@@ -238,8 +237,6 @@ def cmd_minsupport(args) -> int:
         )
     else:
         space = eigenspace_basis(params, args.i)
-        if dim < 1:
-            raise ParameterError(f"eigenspace of J({args.n},{args.w}) at index {args.i} is empty")
         if args.algo == "bnb":
             report = min_support_bnb(space, node_budget, args.witness_cap)
         else:

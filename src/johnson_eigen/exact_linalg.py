@@ -2,13 +2,14 @@
 
 IntEchelon is the package's one elimination engine: a fraction-free
 (Bareiss-style) row echelon over integer rows with push/pop, which the
-minimum-support oracles also drive directly. A rational row enters it
-through integer_row, which clears denominators and content; scaling a row
-leaves its row space alone, so rank and kernel are those of the rational
-matrix. Kernel bases are canonical and reproducible bit for bit: the vector
-for free column c is zero at every other free column, and nullspace scales
-it to 1 at c. span_basis puts a subspace given by spanning rows into the
-same form, without the matrix whose kernel it is.
+minimum-support oracles also drive directly. A rational matrix enters it
+through integer_rows, which scales every row by the lcm of all its
+denominators; scaling a row leaves its row space alone, so rank and kernel
+are those of the rational matrix. Kernel bases are canonical and
+reproducible bit for bit: the vector for free column c is zero at every
+other free column, and nullspace scales it to 1 at c. span_basis puts a
+subspace given by spanning rows into the same form, without the matrix
+whose kernel it is.
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ class ExactMatrix:
     def row_lists(self) -> list[list[Fraction]]:
         return [self.row(r) for r in range(self.rows)]
 
+    def integer_rows(self) -> list[tuple[int, ...]]:
+        """Every row times the lcm of all the matrix's denominators."""
+        den = math.lcm(*(x.denominator for x in self.data))
+        return [
+            tuple(x.numerator * (den // x.denominator) for x in self.row(r))
+            for r in range(self.rows)
+        ]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -78,25 +87,22 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def integer_row(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """The row scaled by a positive rational to coprime integers (zero stays zero)."""
-    den = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = math.gcd(*ints) or 1
-    return tuple(x // g for x in ints)
-
-
 class IntEchelon:
     """Incremental exact echelon over integer rows with push/pop semantics.
 
     Stored rows are content-reduced and zero at the leading column (pivot) of
-    every row stored before them; pivot signs are left as they fall.
+    every row stored before them; pivot signs are left as they fall. The
+    given rows are reduced in order and each independent one is pushed.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, rows=()):
         self.width = width
         self.rows: list[tuple[int, ...]] = []
         self.pivots: list[int] = []
+        for row in rows:
+            reduced = self.reduce(row)
+            if reduced:
+                self.push(reduced)
 
     @property
     def rank(self) -> int:
@@ -183,24 +189,15 @@ class IntEchelon:
         return out
 
 
-def _echelon_of(m: ExactMatrix) -> IntEchelon:
-    ech = IntEchelon(m.cols)
-    for r in range(m.rows):
-        reduced = ech.reduce(integer_row(m.row(r)))
-        if reduced:
-            ech.push(reduced)
-    return ech
-
-
 def rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals."""
-    return _echelon_of(m).rank
+    return IntEchelon(m.cols, m.integer_rows()).rank
 
 
 def nullspace(m: ExactMatrix) -> ExactMatrix:
     """Canonical exact basis of {v : m @ v = 0}, one column per free column of the RREF."""
     nc = m.cols
-    ech = _echelon_of(m)
+    ech = IntEchelon(nc, m.integer_rows())
     piv_set = set(ech.pivots)
     free = [c for c in range(nc) if c not in piv_set]
     columns = [[Fraction(x, vec[fc]) for x in vec] for fc, vec in zip(free, ech.kernel())]
@@ -223,18 +220,12 @@ def span_basis(rows: Sequence[Sequence[int]], width: int, rank: int) -> ExactMat
     other pivot; divided by its pivot entry it is the vector of that free
     column.
     """
-    ech = IntEchelon(width)
-    for row in rows:
-        reduced = ech.reduce(row[::-1])
-        if reduced:
-            ech.push(reduced)
+    ech = IntEchelon(width, (row[::-1] for row in rows))
     if ech.rank != rank:
         raise BasisCheckError(f"rows span a space of dimension {ech.rank}, expected {rank}")
     # A row stored later is zero at every earlier pivot and left of its own,
     # so clearing it from an earlier row keeps that row's pivot.
-    jordan = IntEchelon(width)
-    for row in reversed(ech.rows):
-        jordan.push(jordan.reduce(row))
+    jordan = IntEchelon(width, reversed(ech.rows))
     order = sorted(range(rank), key=jordan.pivots.__getitem__, reverse=True)
     flat = [Fraction(0)] * (width * rank)
     for c, k in enumerate(order):

@@ -30,7 +30,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError
@@ -77,9 +77,15 @@ class SearchReport:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-def _check_witness_cap(witness_cap: int) -> None:
+def _check_searchable(space: EigenspaceBasis, witness_cap: int, workers: int = 1) -> None:
+    """Raise ParameterError for a cap or worker count below 1, or an empty space."""
     if witness_cap < 1:
         raise ParameterError(f"witness_cap must be at least 1, got {witness_cap}")
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    if space.dimension < 1:
+        n, w = space.params.n, space.params.w
+        raise ParameterError(f"eigenspace of J({n},{w}) at index {space.i} is empty")
 
 
 def _dot(a, b) -> int:
@@ -110,16 +116,8 @@ class _WitnessPool:
     """
 
     def __init__(self, basis, cap: int, stats: SearchStats):
-        den = math.lcm(*(x.denominator for x in basis.data))
-        self.rows = [
-            tuple(x.numerator * (den // x.denominator) for x in basis.row(r))
-            for r in range(basis.rows)
-        ]
-        ech = IntEchelon(basis.cols)
-        for row in self.rows:
-            reduced = ech.reduce(row)
-            if reduced:
-                ech.push(reduced)
+        self.rows = basis.integer_rows()
+        ech = IntEchelon(basis.cols, self.rows)
         if ech.rank < basis.cols:
             raise ParameterError(f"basis has rank {ech.rank}, below its {basis.cols} columns")
         self.cap = cap
@@ -176,9 +174,9 @@ def min_support_bnb(
     """Exact minimum support over all nonzero members of the eigenspace.
 
     Complete search: every zero pattern of a nonzero member corresponds to
-    exactly one root-to-leaf path, the prune on frees > incumbent can only
+    exactly one root-to-leaf path, the prune on frees > limit can only
     discard patterns with strictly larger support, and at rank d-1 the
-    unique kernel vector is measured exactly, so ties at the incumbent are
+    unique kernel vector is measured exactly, so ties at the limit are
     never lost. A node at rank d-1 returns before it pushes a row, so rank d
     is never reached.
 
@@ -188,42 +186,41 @@ def min_support_bnb(
     rank at most d-1, so some nonzero member is zero on them; take one of
     inclusion-minimal support. By the lemma in the module docstring its zero
     set has rank d-1, and its support lies in F minus r. Its path forces rows
-    0..r and is explored before the leaf's, which frees r, so the incumbent
+    0..r and is explored before the leaf's, which frees r, so the limit
     is at most |F|-1 when the leaf is reached. If the node budget runs out
-    the best value found so far is returned flagged as not proven.
+    the best value found so far is returned flagged as not proven. A hint
+    below the minimum prunes every member, and a search that completes with
+    no offer raises ParameterError.
     """
-    _check_witness_cap(witness_cap)
+    _check_searchable(space, witness_cap)
     basis = space.basis
     nverts, d = basis.rows, basis.cols
-    if d < 1:
-        raise ParameterError("eigenspace is empty; nothing to search")
     t0 = time.perf_counter()
     stats = SearchStats()
     pool = _WitnessPool(basis, witness_cap, stats)
     rows = pool.rows
     ech = IntEchelon(d)
-    incumbent = upper_bound_hint if upper_bound_hint is not None else nverts + 1
+    # the largest support still worth offering: the hint, then each offer's
+    limit = upper_bound_hint if upper_bound_hint is not None else nverts + 1
     exhausted = False
 
-    def incumbent_now():
-        return pool.best if pool.best is not None and pool.best < incumbent else incumbent
-
     def visit(k: int, frees: list[int]) -> None:
-        nonlocal exhausted
+        nonlocal exhausted, limit
         if exhausted:
             return
         stats.nodes += 1
         if stats.nodes > node_budget:
             exhausted = True
             return
-        if len(frees) > incumbent_now():
+        if len(frees) > limit:
             return
         if ech.rank == d - 1:
             c = ech.kernel()[0]
             if any(_dot(rows[r], c) == 0 for r in frees):
                 return
             support = sum(1 for r in range(nverts) if _dot(rows[r], c) != 0)
-            if support <= incumbent_now():
+            if support <= limit:
+                limit = support
                 pool.offer(support, c)
             return
         if k == nverts:
@@ -241,6 +238,8 @@ def min_support_bnb(
         frees.pop()
 
     visit(0, [])
+    if not exhausted and pool.best is None:
+        raise ParameterError(f"upper_bound_hint {upper_bound_hint} is below the minimum support")
     return _report(space, pool, stats, t0, not exhausted, "bnb")
 
 
@@ -257,13 +256,11 @@ def min_support_hyperplane(
     its zero set contains. Always cross-checked against the branch and
     bound before a result is treated as final.
     """
-    _check_witness_cap(witness_cap)
+    _check_searchable(space, witness_cap, workers)
     basis = space.basis
     nverts, d = basis.rows, basis.cols
     if d < 2:
         raise ParameterError("instance shape unsupported; use bnb")
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
     total = math.comb(nverts, d - 1)
     if total > subset_budget:
         raise SizeBudgetError(
@@ -294,11 +291,7 @@ def _hyperplane_scan(rows, nverts, d, start, stop):
     it = itertools.islice(itertools.combinations(range(nverts), d - 1), start, stop)
     for subset in it:
         done += 1
-        ech = IntEchelon(d)
-        for r in subset:
-            red = ech.reduce(rows[r])
-            if red:
-                ech.push(red)
+        ech = IntEchelon(d, map(rows.__getitem__, subset))
         if ech.rank != d - 1:
             continue
         c = ech.kernel()[0]
@@ -334,19 +327,19 @@ def verify_bound(
     """Run both oracles where applicable, cross-check them, and compare to the bound.
 
     The canonical function, when it exists, is verified as an eigenfunction
-    and its support seeds the incumbent; it is a member of the eigenspace, so
-    the search can never do worse. attained_by_canonical records whether the
+    and its support is the bnb's starting limit; it is a member of the
+    eigenspace, so the search can never do worse. Where the scan runs too,
+    equal minima pool the witnesses, the bnb's first; an exhausted bnb above
+    the scan takes the scan's value and witnesses, and any other difference
+    raises OracleDisagreementError. attained_by_canonical records whether the
     minimum equals the bound and at least one reported witness is a scalar
     multiple of a canonical function, all_witnesses_canonical whether every
     one is; both stay None if optimality was not proven.
     """
-    _check_witness_cap(witness_cap)
     space = eigenspace_basis(params, i)
-    if space.dimension < 1:
-        raise ParameterError(f"eigenspace of J({params.n},{params.w}) at index {i} is empty")
+    _check_searchable(space, witness_cap, workers)
     hint = None
-    canonical_exists = params.w - i <= params.n - 2 * i
-    if canonical_exists:
+    if params.w - i <= params.n - 2 * i:
         f_can = build_canonical(params, default_pairing(i))
         verdict = is_eigenfunction(f_can, space.lam)
         if not verdict.holds or verdict.is_zero:
@@ -354,33 +347,25 @@ def verify_bound(
         hint = f_can.support_size
 
     report = min_support_bnb(space, node_budget, witness_cap, upper_bound_hint=hint)
-    algorithms = ["bnb"]
-
-    hyper = None
+    algorithm = "bnb"
+    min_support = report.min_support
+    witnesses = report.witnesses
     if space.dimension >= 2 and math.comb(space.basis.rows, space.dimension - 1) <= subset_budget:
         hyper = min_support_hyperplane(space, subset_budget, witness_cap, workers)
-        algorithms.append("hyperplane")
-        if report.proven_optimal and hyper.min_support != report.min_support:
+        algorithm = "bnb+hyperplane"
+        for f in fields(SearchStats):
+            setattr(report.stats, f.name, getattr(report.stats, f.name) + getattr(hyper.stats, f.name))
+        if hyper.min_support == min_support:
+            new = [w for w in hyper.witnesses if w not in witnesses]
+            witnesses = (witnesses + new)[:witness_cap]
+        elif report.proven_optimal or (min_support is not None and min_support < hyper.min_support):
             raise OracleDisagreementError(
-                f"bnb found {report.min_support} but hyperplane found {hyper.min_support} "
+                f"bnb found {min_support} but hyperplane found {hyper.min_support} "
                 f"on J({params.n},{params.w}) index {i}"
             )
-
-    min_support = report.min_support
-    witnesses = list(report.witnesses)
-    if hyper is not None:
-        # an exhausted bnb may trail the completed scan; keep the better value
-        if not report.proven_optimal and (min_support is None or hyper.min_support < min_support):
-            min_support = hyper.min_support
-            witnesses = []
-        if hyper.min_support == min_support:
-            seen = {tuple(sorted(w.entries.items())) for w in witnesses}
-            for w in hyper.witnesses:
-                key = tuple(sorted(w.entries.items()))
-                if key not in seen:
-                    witnesses.append(w)
-                    seen.add(key)
-        witnesses = witnesses[:witness_cap]
+        else:
+            # an exhausted bnb trails the completed scan: take the scan's value
+            min_support, witnesses = hyper.min_support, hyper.witnesses
     for w in witnesses:
         v = is_eigenfunction(w, space.lam)
         if not v.holds or v.is_zero or w.support_size != min_support:
@@ -393,24 +378,11 @@ def verify_bound(
         hit_bound = min_support == report.bound and report.bound > 0
         attained = hit_bound and any(matches)
         all_canonical = hit_bound and bool(matches) and all(matches)
-
-    merged_stats = SearchStats(
-        nodes=report.stats.nodes,
-        subsets=hyper.stats.subsets if hyper else 0,
-        elapsed=report.stats.elapsed + (hyper.stats.elapsed if hyper else 0.0),
-        offered=report.stats.offered + (hyper.stats.offered if hyper else 0),
-        valued=report.stats.valued + (hyper.stats.valued if hyper else 0),
-    )
-    return SearchReport(
-        params=params,
-        i=i,
-        lam=space.lam,
+    return replace(
+        report,
         min_support=min_support,
         witnesses=witnesses,
-        bound=report.bound,
         attained_by_canonical=attained,
-        proven_optimal=report.proven_optimal,
-        algorithm="+".join(algorithms),
+        algorithm=algorithm,
         all_witnesses_canonical=all_canonical,
-        stats=merged_stats,
     )

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,10 +139,28 @@ def test_minsupport_budget_exhaustion_exit_code(capsys):
     assert json.loads(out)["proven_optimal"] is False
 
 
-def test_minsupport_empty_eigenspace_usage_error(capsys):
-    code, _, err = invoke(capsys, ["minsupport", "--n", "4", "--w", "3", "--i", "2"])
+@pytest.mark.parametrize("algo", ["both", "bnb", "hyperplane"])
+def test_minsupport_empty_eigenspace_usage_error(capsys, algo):
+    code, _, err = invoke(capsys, ["minsupport", "--n", "4", "--w", "3", "--i", "2",
+                                   "--algo", algo])
     assert code == 2
-    assert "error[USAGE]" in err
+    assert err == "error[USAGE] eigenspace of J(4,3) at index 2 is empty\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("minsupport_n6_w3_i2.json", "minsupport --n 6 --w 3 --i 2 --json"),
+    ("minsupport_n6_w3_i2_bnb.json", "minsupport --n 6 --w 3 --i 2 --algo bnb --json"),
+    ("minsupport_n6_w3_i1_hyperplane.json",
+     "minsupport --n 6 --w 3 --i 1 --algo hyperplane --threads 2 --json"),
+    ("table_max_n6.txt", "table --max-n 6 --threads 1"),
+])
+def test_stdout_matches_golden_bytes(capsys, name, argv):
+    code, out, _ = invoke(capsys, argv.split())
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 def _count_builds(monkeypatch) -> list[int]:

@@ -13,7 +13,7 @@ from johnson_eigen import (
     nullspace,
     rank,
 )
-from johnson_eigen.exact_linalg import IntEchelon, integer_row, span_basis
+from johnson_eigen.exact_linalg import IntEchelon, span_basis
 
 from conftest import make_rng, oracle_mat_vec, oracle_rank, random_rational
 
@@ -126,15 +126,17 @@ def test_rref_preserves_row_space_membership():
         assert rank(stacked) == r + ns.cols  # kernel vectors extend the row space fully
 
 
-def test_integer_row_clears_denominators_and_content():
-    assert integer_row([Fraction(1, 2), Fraction(-1, 3), Fraction(0)]) == (3, -2, 0)
-    assert integer_row([Fraction(4), Fraction(-6)]) == (2, -3)
-    assert integer_row([Fraction(0), Fraction(0)]) == (0, 0)
-    assert integer_row([]) == ()
+def test_integer_rows_scale_by_the_lcm_of_all_denominators():
+    m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 3)], [4, 0]])
+    assert m.integer_rows() == [(3, -2), (24, 0)]
+    assert ExactMatrix(0, 3, []).integer_rows() == []
 
 
 def _assert_engine_matches_oracle(ech, pushed, width):
     assert ech.rank == oracle_rank(pushed) == len(pushed)
+    # filling a fresh echelon with the pushed rows gives the same stored rows
+    fresh = IntEchelon(width, pushed)
+    assert (fresh.rows, fresh.pivots) == (ech.rows, ech.pivots)
     ns = nullspace(ExactMatrix(len(pushed), width, [x for row in pushed for x in row]))
     kern = ech.kernel()
     assert len(kern) == ns.cols

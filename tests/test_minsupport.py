@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 
 from johnson_eigen import (
     JohnsonParams,
+    OracleDisagreementError,
     ParameterError,
     SizeBudgetError,
     binomial,
     eigenspace_basis,
     is_eigenfunction,
     match_canonical,
+    rank_subset,
     min_support_bnb,
     min_support_hyperplane,
     support_size_bound,
@@ -153,10 +156,27 @@ def test_dimension_one_searchable_by_bnb():
 def test_empty_eigenspace_rejected():
     space = eigenspace_basis(JohnsonParams(4, 3), 2)
     assert space.dimension == 0
-    with pytest.raises(ParameterError):
+    message = r"^eigenspace of J\(4,3\) at index 2 is empty$"
+    with pytest.raises(ParameterError, match=message):
         min_support_bnb(space)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=message):
+        min_support_hyperplane(space)
+    with pytest.raises(ParameterError, match=message):
         verify_bound(JohnsonParams(4, 3), 2)
+
+
+@pytest.mark.parametrize("hint", [3, 0])
+def test_bnb_hint_below_the_minimum_rejected(hint):
+    # the minimum is 4; a lower hint prunes every member, which is no proof of anything
+    space = eigenspace_basis(JohnsonParams(5, 2), 2)
+    with pytest.raises(ParameterError, match=f"upper_bound_hint {hint} is below the minimum"):
+        min_support_bnb(space, upper_bound_hint=hint)
+
+
+def test_bnb_hint_at_the_minimum_still_finds_it():
+    report = min_support_bnb(eigenspace_basis(JohnsonParams(5, 2), 2), upper_bound_hint=4)
+    assert report.proven_optimal
+    assert report.min_support == 4 and report.witnesses
 
 
 def test_verify_bound_example_j52():
@@ -189,17 +209,58 @@ def test_verify_bound_bound_can_fail_below_threshold():
     assert report.attained_by_canonical is False
 
 
+# the witnesses of the scan on J(5,2) i=1, as (rank, value) pairs in report order
+ADOPTED_WITNESSES = [
+    [(3, 1), (4, 1), (5, 1), (6, -1), (7, -1), (8, -1)],
+    [(2, 2), (3, -2), (6, -1), (7, 1), (8, 1), (9, -1)],
+    [(2, 2), (3, -1), (4, 1), (5, 1), (6, -2), (9, -1)],
+    [(1, 1), (2, -1), (4, -2), (5, -1), (6, 2), (8, 1)],
+    [(1, 1), (2, -1), (3, 1), (4, -1), (6, 1), (7, -1)],
+    [(1, 1), (2, -1), (3, 2), (5, 1), (7, -2), (8, -1)],
+    [(1, 1), (2, 1), (3, -1), (4, -1), (8, 1), (9, -1)],
+    [(1, 1), (2, 1), (5, 1), (6, -1), (7, -1), (9, -1)],
+    [(1, 2), (4, -2), (6, 1), (7, -1), (8, 1), (9, -1)],
+    [(1, 2), (3, 1), (4, -1), (5, 1), (7, -2), (9, -1)],
+    [(0, 1), (1, -1), (3, -1), (5, -2), (6, 1), (7, 2)],
+    [(0, 1), (1, -1), (4, 1), (5, -1), (7, 1), (8, -1)],
+    [(0, 1), (1, -1), (3, 1), (4, 2), (6, -1), (8, -2)],
+    [(0, 1), (2, -1), (4, -1), (5, -2), (6, 2), (7, 1)],
+    [(0, 1), (2, -1), (3, 1), (5, -1), (6, 1), (8, -1)],
+    [(0, 1), (2, -1), (3, 2), (4, 1), (7, -1), (8, -2)],
+]
+
+
 def test_verify_bound_exhausted_bnb_adopts_hyperplane_value():
     # node budget 1 starves the branch and bound; the completed hyperplane scan
     # still supplies a consistent (unproven) value and witnesses
-    report = verify_bound(JohnsonParams(5, 2), 1, node_budget=1)
+    report = verify_bound(JohnsonParams(5, 2), 1, node_budget=1, workers=1)
     assert not report.proven_optimal
     assert report.algorithm == "bnb+hyperplane"
     assert report.min_support == 6
     assert report.attained_by_canonical is None
+    assert (report.stats.offered, report.stats.valued) == (100, 25)
+    assert [
+        [(rank_subset(x), f.entries[x]) for x in f.support] for f in report.witnesses
+    ] == ADOPTED_WITNESSES
     for w_fn in report.witnesses:
-        assert w_fn.support_size == 6
         assert is_eigenfunction(w_fn, report.lam).holds
+
+
+@pytest.mark.parametrize("node_budget,scan_shift", [(4, 1), (None, -1)])
+def test_verify_bound_raises_when_the_oracles_disagree(monkeypatch, node_budget, scan_shift):
+    # an exhausted bnb below the complete scan, or a proven bnb off it, is a contradiction
+    real = minsupport.min_support_hyperplane
+
+    def shifted(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return replace(report, min_support=report.min_support + scan_shift)
+
+    monkeypatch.setattr(minsupport, "min_support_hyperplane", shifted)
+    budget = {} if node_budget is None else {"node_budget": node_budget}
+    bnb = min_support_bnb(eigenspace_basis(JohnsonParams(5, 2), 1), upper_bound_hint=6, **budget)
+    assert bnb.min_support == 6 and bnb.proven_optimal == (node_budget is None)
+    with pytest.raises(OracleDisagreementError, match="bnb found 6 but hyperplane found"):
+        verify_bound(JohnsonParams(5, 2), 1, workers=1, **budget)
 
 
 def test_hyperplane_parallel_matches_sequential():
@@ -270,6 +331,13 @@ def test_hyperplane_rejects_nonpositive_workers():
     for workers in (0, -3):
         with pytest.raises(ParameterError):
             min_support_hyperplane(space, workers=workers)
+
+
+@pytest.mark.parametrize("n,w,i", [(8, 2, 2), (5, 2, 1)])
+def test_verify_bound_rejects_nonpositive_workers(n, w, i):
+    # J(8,2) i=2 skips the hyperplane scan, J(5,2) i=1 runs it; both check workers
+    with pytest.raises(ParameterError, match="workers must be at least 1, got 0"):
+        verify_bound(JohnsonParams(n, w), i, workers=0)
 
 
 def test_witness_cap_below_one_rejected():
