@@ -1,8 +1,8 @@
 """Exact dense linear algebra over rationals: rank and canonical nullspace.
 
 IntEchelon is the package's one elimination engine: a fraction-free
-(Bareiss-style) row echelon over integer rows with push/pop, which the
-minimum-support oracles also drive directly. A rational matrix enters it
+(Bareiss-style) row echelon over integer rows, which the minimum-support
+witness pool also uses for its rank check. A rational matrix enters it
 through integer_rows, which scales every row by the lcm of all its
 denominators; scaling a row leaves its row space alone, so rank and kernel
 are those of the rational matrix. Kernel bases are canonical and
@@ -88,7 +88,7 @@ class ExactMatrix:
 
 
 class IntEchelon:
-    """Incremental exact echelon over integer rows with push/pop semantics.
+    """Incremental exact echelon over integer rows.
 
     Stored rows are content-reduced and zero at the leading column (pivot) of
     every row stored before them; pivot signs are left as they fall. The
@@ -141,10 +141,6 @@ class IntEchelon:
         p = next(j for j, x in enumerate(reduced) if x)
         self.rows.append(reduced)
         self.pivots.append(p)
-
-    def pop(self) -> None:
-        self.rows.pop()
-        self.pivots.pop()
 
     def kernel(self) -> list[tuple[int, ...]]:
         """Canonical kernel basis of the stored rows, one vector per free column.

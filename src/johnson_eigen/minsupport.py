@@ -5,6 +5,14 @@ order, which must have full column rank. A nonzero member of the span is
 determined (up to scale) by its zero set Z, a set of rows of rank at most d-1;
 the support is N minus the size of the largest achievable zero set.
 
+Neither search eliminates rows. Each keeps the projected columns of a set Z
+of forced rows: cols[j][r] = rows[r] . k_j, where k_0..k_{m-1} is a basis of
+the kernel of Z and m = d - rank(Z), so column j is the value vector of the
+member k_j. Row r is in the span of Z exactly when every cols[j][r] is 0.
+Forcing an independent row r keeps m-1 columns, each combined with the first
+column nonzero at r so that it vanishes there (see _project). At m = 1 the
+one column is the value vector of the one member, up to scale, zero on Z.
+
 Lemma (the elementary vectors of a subspace: Rockafellar 1969): a member c of
 inclusion-minimal support, so any of minimum support, has a zero set Z of
 rank exactly d-1 and is its unique kernel vector up to scale. Else the kernel
@@ -12,12 +20,12 @@ of Z holds a c' independent of c; c' is nonzero on some row r of supp(c), as
 the rows have rank d, and c - (c(r)/c'(r)) c' is nonzero and zero on Z and r.
 
   - branch and bound: depth-first over vertices in rank order, deciding
-    "forced zero" vs "free"; the forced rows' rank is maintained
-    incrementally, and once it reaches d-1 the kernel vector is unique and
-    is measured directly. By the lemma the leaves, whose forced rows have
-    lower rank, need no measuring (see min_support_bnb).
+    "forced zero" vs "free"; forcing a row projects the columns, and once
+    one column is left its zeros are counted directly. By the lemma the
+    leaves, whose forced rows have lower rank, need no measuring (see
+    min_support_bnb).
   - hyperplane enumeration: every (d-1)-subset of rows spanning rank exactly
-    d-1 determines a kernel normal; count the rows orthogonal to it. By the
+    d-1 leaves one projected column; count its nonzero entries. By the
     lemma this is complete for the minimum.
 
 The branch and bound is the authority; the hyperplane scan is the
@@ -48,7 +56,7 @@ class SearchStats:
     nodes: int = 0
     subsets: int = 0
     elapsed: float = 0.0
-    # witness pool: calls to offer, and distinct normals turned into value vectors
+    # witness pool: calls to offer, and the distinct value vectors it kept
     offered: int = 0
     valued: int = 0
 
@@ -77,42 +85,69 @@ class SearchReport:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-def _check_searchable(space: EigenspaceBasis, witness_cap: int, workers: int = 1) -> None:
-    """Raise ParameterError for a cap or worker count below 1, or an empty space."""
+def _check_searchable(
+    space: EigenspaceBasis, witness_cap: int, workers: int = 1, node_budget: int = 1
+) -> None:
+    """Raise ParameterError for a cap, worker count or node budget below 1, or an empty space."""
     if witness_cap < 1:
         raise ParameterError(f"witness_cap must be at least 1, got {witness_cap}")
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
+    if node_budget < 1:
+        raise ParameterError(f"node_budget must be at least 1, got {node_budget}")
     if space.dimension < 1:
         n, w = space.params.n, space.params.w
         raise ParameterError(f"eigenspace of J({n},{w}) at index {space.i} is empty")
 
 
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b) if x and y)
-
-
-def _normal(coeff: tuple[int, ...]) -> tuple[int, ...]:
-    """The coefficient vector divided by its gcd, first nonzero entry positive."""
-    g = math.gcd(*coeff)
-    if next(x for x in coeff if x) < 0:
+def _normal(values) -> tuple[int, ...]:
+    """The vector divided by its gcd, first nonzero entry positive."""
+    g = math.gcd(*values)
+    if next(x for x in values if x) < 0:
         g = -g
-    return tuple(x // g for x in coeff)
+    return tuple(x // g for x in values)
+
+
+def _project(cols: list[list[int]], r: int) -> list[list[int]] | None:
+    """The projected columns once row r is forced to zero; None if r is dependent.
+
+    The first column j0 with a0 = cols[j0][r] != 0 is dropped, and every other
+    column with a = cols[j][r] != 0 becomes (a0/g) col_j - (a/g) col_j0, with
+    g = gcd(a0, a), divided by its own gcd. These are the value vectors of a
+    basis of the smaller kernel; a column already zero at r is shared, not
+    copied. None of them is zero, as the rows have full column rank.
+    """
+    for j0, pivot in enumerate(cols):
+        a0 = pivot[r]
+        if a0:
+            break
+    else:
+        return None
+    out = []
+    for j, col in enumerate(cols):
+        a = col[r]
+        if not a:
+            out.append(col)
+        elif j != j0:
+            g = math.gcd(a0, a)
+            p, q = a0 // g, a // g
+            new = [p * x - q * y for x, y in zip(col, pivot)]
+            g = math.gcd(*new)
+            out.append([x // g for x in new] if g > 1 else new)
+    return out
 
 
 class _WitnessPool:
     """Distinct minimum-support value vectors, deduplicated up to scalar.
 
     The basis must have full column rank (the lemma in the module docstring
-    needs it too); ParameterError is raised otherwise. Then c -> basis @ c
-    is injective and two offers give the same vector up to scalar exactly
-    when their coefficient vectors agree up to scalar. Offers are therefore
-    deduplicated by their normal first, and each distinct normal is valued
-    once, in integers, on the basis scaled by the lcm of all its
-    denominators. A value vector is stored divided by its gcd with a
-    positive value at the lowest-rank support vertex. Both searches run on
-    these rows too: a positive scaling of a row changes no reduced row,
-    kernel or zero test.
+    needs it too); ParameterError is raised otherwise. Both searches run on
+    its rows scaled by the lcm of all its denominators, a positive scaling
+    that changes no zero test, and offer the value vectors of their
+    candidates on those rows. A vector is kept divided by its gcd with a
+    positive value at the lowest-rank support vertex, so two offers of the
+    same member up to scalar are kept once. As c -> basis @ c is injective,
+    these keys correspond one to one with the candidates' kernel normals.
     """
 
     def __init__(self, basis, cap: int, stats: SearchStats):
@@ -123,23 +158,27 @@ class _WitnessPool:
         self.cap = cap
         self.stats = stats
         self.best: int | None = None
-        # normal -> its value vector, at the best support so far
-        self.vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # the normalized value vectors at the best support so far
+        self.vectors: set[tuple[int, ...]] = set()
 
-    def offer(self, support: int, coeff: tuple[int, ...]) -> None:
+    def columns(self) -> list[list[int]]:
+        """The projected columns of no forced rows: the columns of the scaled basis."""
+        return [list(col) for col in zip(*self.rows)]
+
+    def offer(self, support: int, values) -> None:
         self.stats.offered += 1
         if self.best is None or support < self.best:
             self.best = support
-            self.vectors = {}
+            self.vectors = set()
         if support != self.best or len(self.vectors) >= 4 * self.cap:
             return
-        key = _normal(coeff)
+        key = _normal(values)
         if key not in self.vectors:
             self.stats.valued += 1
-            self.vectors[key] = _normal(tuple(_dot(row, key) for row in self.rows))
+            self.vectors.add(key)
 
     def final_vectors(self) -> list[tuple[int, ...]]:
-        return sorted(self.vectors.values())[: self.cap]
+        return sorted(self.vectors)[: self.cap]
 
 
 def _report(space, pool, stats, t0, proven, algorithm) -> SearchReport:
@@ -173,12 +212,15 @@ def min_support_bnb(
 ) -> SearchReport:
     """Exact minimum support over all nonzero members of the eigenspace.
 
+    Each node carries the projected columns of its forced rows (module
+    docstring): the "force" child of an independent row gets them from
+    _project, while the "free" child and a dependent row reuse the parent's.
     Complete search: every zero pattern of a nonzero member corresponds to
     exactly one root-to-leaf path, the prune on frees > limit can only
-    discard patterns with strictly larger support, and at rank d-1 the
-    unique kernel vector is measured exactly, so ties at the limit are
-    never lost. A node at rank d-1 returns before it pushes a row, so rank d
-    is never reached.
+    discard patterns with strictly larger support, and at rank d-1, one
+    column left, the unique member is measured exactly, so ties at the
+    limit are never lost. A node at rank d-1 returns before it forces a row,
+    so rank d is never reached.
 
     A leaf (k == N) has forced rank below d-1, and the frees prune always
     stops it. Its frees F are the rows outside its forced rows Z, and F is
@@ -190,21 +232,18 @@ def min_support_bnb(
     is at most |F|-1 when the leaf is reached. If the node budget runs out
     the best value found so far is returned flagged as not proven. A hint
     below the minimum prunes every member, and a search that completes with
-    no offer raises ParameterError.
+    no offer raises ParameterError. A node budget below 1 raises too.
     """
-    _check_searchable(space, witness_cap)
-    basis = space.basis
-    nverts, d = basis.rows, basis.cols
+    _check_searchable(space, witness_cap, node_budget=node_budget)
+    nverts = space.basis.rows
     t0 = time.perf_counter()
     stats = SearchStats()
-    pool = _WitnessPool(basis, witness_cap, stats)
-    rows = pool.rows
-    ech = IntEchelon(d)
+    pool = _WitnessPool(space.basis, witness_cap, stats)
     # the largest support still worth offering: the hint, then each offer's
     limit = upper_bound_hint if upper_bound_hint is not None else nverts + 1
     exhausted = False
 
-    def visit(k: int, frees: list[int]) -> None:
+    def visit(k: int, frees: list[int], cols: list[list[int]]) -> None:
         nonlocal exhausted, limit
         if exhausted:
             return
@@ -214,30 +253,25 @@ def min_support_bnb(
             return
         if len(frees) > limit:
             return
-        if ech.rank == d - 1:
-            c = ech.kernel()[0]
-            if any(_dot(rows[r], c) == 0 for r in frees):
+        if len(cols) == 1:
+            values = cols[0]
+            if 0 in map(values.__getitem__, frees):
                 return
-            support = sum(1 for r in range(nverts) if _dot(rows[r], c) != 0)
+            support = nverts - values.count(0)
             if support <= limit:
                 limit = support
-                pool.offer(support, c)
+                pool.offer(support, values)
             return
         if k == nverts:
             return
-        reduced = ech.reduce(rows[k])
-        if not reduced:
-            # dependent row: forcing it to zero is free
-            visit(k + 1, frees)
-        else:
-            ech.push(reduced)
-            visit(k + 1, frees)
-            ech.pop()
+        forced = _project(cols, k)
+        # a dependent row (None) is zero already: forcing it is free
+        visit(k + 1, frees, cols if forced is None else forced)
         frees.append(k)
-        visit(k + 1, frees)
+        visit(k + 1, frees, cols)
         frees.pop()
 
-    visit(0, [])
+    visit(0, [], pool.columns())
     if not exhausted and pool.best is None:
         raise ParameterError(f"upper_bound_hint {upper_bound_hint} is below the minimum support")
     return _report(space, pool, stats, t0, not exhausted, "bnb")
@@ -253,8 +287,9 @@ def min_support_hyperplane(
 
     Complete for the minimum: by the lemma in the module docstring a
     minimum-support member is the kernel normal of the d-1 independent rows
-    its zero set contains. Always cross-checked against the branch and
-    bound before a result is treated as final.
+    its zero set contains, whose value vector is the one projected column
+    those rows leave (module docstring). Always cross-checked against the
+    branch and bound before a result is treated as final.
     """
     _check_searchable(space, witness_cap, workers)
     basis = space.basis
@@ -269,40 +304,54 @@ def min_support_hyperplane(
     t0 = time.perf_counter()
     stats = SearchStats()
     pool = _WitnessPool(basis, witness_cap, stats)
-    rows = pool.rows
+    cols = pool.columns()
     # one forked process per chunk: never more than the machine has
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and total >= 4096:
-        results = _hyperplane_parallel(rows, nverts, d, total, workers)
+        results = _hyperplane_parallel(cols, nverts, d, total, workers)
     else:
-        results = [_hyperplane_scan(rows, nverts, d, 0, total)]
+        results = [_hyperplane_scan(cols, nverts, d, 0, total)]
     for subsets_done, found in results:
         stats.subsets += subsets_done
-        for support, coeff in found:
-            pool.offer(support, coeff)
+        for support, values in found:
+            pool.offer(support, values)
     return _report(space, pool, stats, t0, True, "hyperplane")
 
 
-def _hyperplane_scan(rows, nverts, d, start, stop):
-    """Scan combinations with lexicographic index in [start, stop)."""
+def _hyperplane_scan(cols, nverts, d, start, stop):
+    """Scan combinations with lexicographic index in [start, stop).
+
+    levels[t] holds the projected columns of the subset's first t rows, or
+    None once they are dependent; a subset re-projects only from the first
+    position where it differs from the one before it.
+    """
     found = []
     best = nverts
     done = 0
+    levels = [cols] + [None] * (d - 1)
+    prev = ()
     it = itertools.islice(itertools.combinations(range(nverts), d - 1), start, stop)
     for subset in it:
         done += 1
-        ech = IntEchelon(d, map(rows.__getitem__, subset))
-        if ech.rank != d - 1:
+        p = 0
+        while p < len(prev) and prev[p] == subset[p]:
+            p += 1
+        prev = subset
+        for t in range(p, d - 1):
+            above = levels[t]
+            levels[t + 1] = None if above is None else _project(above, subset[t])
+        last = levels[d - 1]
+        if last is None:
             continue
-        c = ech.kernel()[0]
-        support = sum(1 for r in range(nverts) if _dot(rows[r], c) != 0)
+        values = last[0]
+        support = nverts - values.count(0)
         if support <= best:
             best = support
-            found.append((support, c))
+            found.append((support, values))
     return done, found
 
 
-def _hyperplane_parallel(rows, nverts, d, total, workers):
+def _hyperplane_parallel(cols, nverts, d, total, workers):
     import multiprocessing as mp
 
     chunks = []
@@ -310,7 +359,7 @@ def _hyperplane_parallel(rows, nverts, d, total, workers):
     for w in range(workers):
         start, stop = w * step, min((w + 1) * step, total)
         if start < stop:
-            chunks.append((rows, nverts, d, start, stop))
+            chunks.append((cols, nverts, d, start, stop))
     ctx = mp.get_context("fork")
     with ctx.Pool(processes=len(chunks)) as pool:
         return pool.starmap(_hyperplane_scan, chunks)
@@ -337,7 +386,7 @@ def verify_bound(
     one is; both stay None if optimality was not proven.
     """
     space = eigenspace_basis(params, i)
-    _check_searchable(space, witness_cap, workers)
+    _check_searchable(space, witness_cap, workers, node_budget)
     hint = None
     if params.w - i <= params.n - 2 * i:
         f_can = build_canonical(params, default_pairing(i))

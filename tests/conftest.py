@@ -24,6 +24,8 @@ from johnson_eigen import (
     rank_subset,
     support_size_bound,
 )
+from johnson_eigen.exact_linalg import IntEchelon
+from johnson_eigen.minsupport import SearchReport, SearchStats
 from johnson_eigen.operators import swap_maps_to
 from johnson_eigen.spectral import EigenspaceBasis, EigenVerdict
 
@@ -308,13 +310,10 @@ def colex_subsets(n: int, w: int):
     return sorted(itertools.combinations(range(n), w), key=lambda s: tuple(reversed(s)))
 
 
-def reference_witness_values(basis, coeff) -> tuple[Fraction, ...]:
-    """Exact value vector basis @ coeff over Fractions, normalized to coprime
-    integers with a positive value at the lowest-rank support vertex."""
-    vals = []
-    for r in range(basis.rows):
-        row = basis.row(r)
-        vals.append(sum((x * c for x, c in zip(row, coeff) if x and c), Fraction(0)))
+def reference_normal(values) -> tuple[Fraction, ...]:
+    """A rational vector as coprime integers with its first nonzero entry
+    positive, as Fractions."""
+    vals = [Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in vals))
     ints = [int(v * den) for v in vals]
     g = math.gcd(*ints)
@@ -326,27 +325,135 @@ def reference_witness_values(basis, coeff) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in ints)
 
 
+def reference_values(rows, coeff) -> list[Fraction]:
+    """The value vector rows @ coeff, summed over Fractions."""
+    return [sum((Fraction(x) * c for x, c in zip(row, coeff) if x and c), Fraction(0)) for row in rows]
+
+
 class ReferenceWitnessPool:
-    """The witness pool valued over Fractions on every offer, with no deduplication
-    before valuing: keeps the first 4*cap distinct vectors at the best support.
+    """The witness pool over Fractions: each offered value vector is normalized
+    by reference_normal and the first 4*cap distinct ones at the best support
+    are kept. offered counts the offers and valued the vectors kept."""
 
-    A search runs on the pool's rows; these are scaled row by row, not by one
-    lcm, so a search patched to use this pool also checks that the scaling of
-    the rows changes nothing."""
-
-    def __init__(self, basis, cap, stats=None):
-        self.basis = basis
-        self.rows = per_row_integers(basis)
+    def __init__(self, cap, stats):
         self.cap = cap
+        self.stats = stats
         self.best = None
         self.vectors = {}
 
-    def offer(self, support, coeff) -> None:
+    def offer(self, support, values) -> None:
+        self.stats.offered += 1
         if self.best is None or support < self.best:
             self.best = support
             self.vectors = {}
         if support == self.best and len(self.vectors) < 4 * self.cap:
-            self.vectors.setdefault(reference_witness_values(self.basis, coeff), None)
+            key = reference_normal(values)
+            if key not in self.vectors:
+                self.stats.valued += 1
+                self.vectors[key] = None
 
     def final_vectors(self) -> list[tuple]:
         return sorted(self.vectors)[: self.cap]
+
+
+# -- the elimination-driven searches, kept as oracles for the projected ones ---
+
+class _PushPopEchelon(IntEchelon):
+    """IntEchelon with the pop the reference branch and bound backtracks with."""
+
+    def pop(self) -> None:
+        self.rows.pop()
+        self.pivots.pop()
+
+
+def _int_dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b) if x and y)
+
+
+def reference_min_support_bnb(space, node_budget=5_000_000, witness_cap=16, upper_bound_hint=None):
+    """The branch and bound on an incremental echelon of the forced rows: reduce
+    each row against it, push and pop, and solve the kernel at rank d-1. The
+    same node order, prunes and limit as min_support_bnb; its witnesses are
+    valued over Fractions on the basis itself."""
+    basis = space.basis
+    nverts, d = basis.rows, basis.cols
+    rows = basis.integer_rows()
+    fraction_rows = basis.row_lists()
+    stats = SearchStats()
+    pool = ReferenceWitnessPool(witness_cap, stats)
+    ech = _PushPopEchelon(d)
+    limit = upper_bound_hint if upper_bound_hint is not None else nverts + 1
+    exhausted = False
+
+    def visit(k, frees):
+        nonlocal exhausted, limit
+        if exhausted:
+            return
+        stats.nodes += 1
+        if stats.nodes > node_budget:
+            exhausted = True
+            return
+        if len(frees) > limit:
+            return
+        if ech.rank == d - 1:
+            c = ech.kernel()[0]
+            if any(_int_dot(rows[r], c) == 0 for r in frees):
+                return
+            support = sum(1 for r in range(nverts) if _int_dot(rows[r], c) != 0)
+            if support <= limit:
+                limit = support
+                pool.offer(support, reference_values(fraction_rows, c))
+            return
+        if k == nverts:
+            return
+        reduced = ech.reduce(rows[k])
+        if not reduced:
+            visit(k + 1, frees)
+        else:
+            ech.push(reduced)
+            visit(k + 1, frees)
+            ech.pop()
+        frees.append(k)
+        visit(k + 1, frees)
+        frees.pop()
+
+    visit(0, [])
+    params = space.params
+    verts = list(params.vertices())
+    witnesses = [
+        SparseFunction(params, {x: v for x, v in zip(verts, vals) if v})
+        for vals in pool.final_vectors()
+    ]
+    return SearchReport(
+        params=params,
+        i=space.i,
+        lam=space.lam,
+        min_support=pool.best,
+        witnesses=witnesses,
+        bound=support_size_bound(params.n, params.w, space.i),
+        attained_by_canonical=None,
+        proven_optimal=not exhausted,
+        algorithm="bnb",
+        stats=stats,
+    )
+
+
+def reference_hyperplane_scan(rows, nverts, d, start, stop):
+    """The hyperplane scan with one fresh echelon and kernel solve per subset:
+    the subsets with lexicographic index in [start, stop), and (support,
+    kernel coefficient vector) for each one that ties or beats the best."""
+    found = []
+    best = nverts
+    done = 0
+    it = itertools.islice(itertools.combinations(range(nverts), d - 1), start, stop)
+    for subset in it:
+        done += 1
+        ech = IntEchelon(d, map(rows.__getitem__, subset))
+        if ech.rank != d - 1:
+            continue
+        c = ech.kernel()[0]
+        support = sum(1 for r in range(nverts) if _int_dot(rows[r], c) != 0)
+        if support <= best:
+            best = support
+            found.append((support, c))
+    return done, found

@@ -26,11 +26,19 @@ from johnson_eigen import (
     verify_bound,
 )
 from johnson_eigen import minsupport
-from johnson_eigen.exact_linalg import ExactMatrix
-from johnson_eigen.minsupport import SearchStats, _WitnessPool
+from johnson_eigen.exact_linalg import ExactMatrix, nullspace
+from johnson_eigen.minsupport import SearchStats, _WitnessPool, _hyperplane_scan, _normal, _project
 from johnson_eigen.spectral import EigenspaceBasis
 
-from conftest import ReferenceWitnessPool, exhaustive_min_support, oracle_rank
+from conftest import (
+    ReferenceWitnessPool,
+    exhaustive_min_support,
+    oracle_rank,
+    reference_hyperplane_scan,
+    reference_min_support_bnb,
+    reference_normal,
+    reference_values,
+)
 
 SMALL_INSTANCES = [
     (n, w, i)
@@ -145,6 +153,24 @@ def test_searches_reject_basis_without_one_row_per_vertex(search):
     rows = ExactMatrix.from_rows([[1], [0], [0], [0], [0], [0], [0], [1]])
     with pytest.raises(ParameterError, match="basis has 8 rows for 6 vertices"):
         search(EigenspaceBasis(JohnsonParams(4, 2), 1, 0, rows))
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_node_budget_below_one_rejected(budget):
+    # it used to end in an unproven report with no minimum, or the scan's value as unproven
+    message = f"^node_budget must be at least 1, got {budget}$"
+    with pytest.raises(ParameterError, match=message):
+        min_support_bnb(eigenspace_basis(JohnsonParams(5, 2), 2), node_budget=budget)
+    with pytest.raises(ParameterError, match=message):
+        verify_bound(JohnsonParams(5, 2), 2, node_budget=budget)
+
+
+def test_node_budget_of_one_gives_an_unproven_report():
+    report = min_support_bnb(eigenspace_basis(JohnsonParams(5, 2), 2), node_budget=1)
+    assert not report.proven_optimal and report.min_support is None
+    report = verify_bound(JohnsonParams(5, 2), 2, node_budget=1)
+    assert not report.proven_optimal
+    assert (report.algorithm, report.min_support) == ("bnb+hyperplane", 4)
 
 
 def test_dimension_one_searchable_by_bnb():
@@ -377,31 +403,135 @@ def _pool_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_pool_cases())
 def test_integer_pool_matches_fraction_valuation(case):
+    # the searches offer value vectors on the lcm-scaled rows; the reference
+    # normalizes the same members' value vectors on the basis, over Fractions
     basis, stream, cap = case
-    stats = SearchStats()
+    stats, ref_stats = SearchStats(), SearchStats()
     pool = _WitnessPool(basis, cap, stats)
-    ref = ReferenceWitnessPool(basis, cap)
+    ref = ReferenceWitnessPool(cap, ref_stats)
+    fraction_rows = basis.row_lists()
     for support, coeff in stream:
-        pool.offer(support, coeff)
-        ref.offer(support, coeff)
+        pool.offer(support, [sum(x * c for x, c in zip(row, coeff)) for row in pool.rows])
+        ref.offer(support, reference_values(fraction_rows, coeff))
     assert pool.best == ref.best
     assert [tuple(Fraction(x) for x in v) for v in pool.final_vectors()] == ref.final_vectors()
+    assert (stats.offered, stats.valued) == (ref_stats.offered, ref_stats.valued)
     assert stats.offered == len(stream)
+
+
+def _reference_scan(cols, nverts, d, start, stop):
+    # the elimination-driven scan on the same rows, its kernel vectors valued over Fractions
+    rows = list(zip(*cols))
+    done, found = reference_hyperplane_scan(rows, nverts, d, start, stop)
+    return done, [
+        (support, [int(x) for x in reference_normal(reference_values(rows, c))])
+        for support, c in found
+    ]
 
 
 @pytest.mark.parametrize("n,w,i", [(5, 2, 2), (6, 3, 1)])
 def test_verify_bound_witnesses_match_fraction_pool(monkeypatch, n, w, i):
     new = verify_bound(JohnsonParams(n, w), i, workers=1)
     par = verify_bound(JohnsonParams(n, w), i, workers=2)
-    monkeypatch.setattr(minsupport, "_WitnessPool", ReferenceWitnessPool)
+    monkeypatch.setattr(minsupport, "min_support_bnb", reference_min_support_bnb)
+    monkeypatch.setattr(minsupport, "_hyperplane_scan", _reference_scan)
     old = verify_bound(JohnsonParams(n, w), i, workers=1)
     entries = [sorted(w_fn.entries.items()) for w_fn in old.witnesses]
     assert entries
-    assert [sorted(w_fn.entries.items()) for w_fn in new.witnesses] == entries
-    assert [sorted(w_fn.entries.items()) for w_fn in par.witnesses] == entries
-    assert (new.min_support, new.attained_by_canonical, new.all_witnesses_canonical) == (
-        old.min_support, old.attained_by_canonical, old.all_witnesses_canonical
-    )
+    for report in (new, par):
+        assert [sorted(w_fn.entries.items()) for w_fn in report.witnesses] == entries
+        assert (report.min_support, report.attained_by_canonical, report.all_witnesses_canonical) == (
+            old.min_support, old.attained_by_canonical, old.all_witnesses_canonical
+        )
+        assert replace(report.stats, elapsed=0) == replace(old.stats, elapsed=0)
+
+
+def _bnb_outcome(report):
+    stats = report.stats
+    witnesses = [sorted(w_fn.entries.items()) for w_fn in report.witnesses]
+    return stats.nodes, report.min_support, report.proven_optimal, stats.offered, stats.valued, witnesses
+
+
+def _dimension(n, i):
+    return binomial(n, i) - binomial(n, i - 1)
+
+
+# every cell of at most 28 vertices with a nonempty eigenspace
+REFERENCE_CELLS = [
+    (n, w, i)
+    for n in range(1, 29)
+    for w in range(0, n + 1)
+    if binomial(n, w) <= 28
+    for i in range(0, min(w, n - w) + 1)
+    if _dimension(n, i) > 0
+]
+
+
+@pytest.mark.parametrize("n,w,i", REFERENCE_CELLS)
+def test_bnb_matches_the_elimination_reference(n, w, i):
+    space = eigenspace_basis(JohnsonParams(n, w), i)
+    assert _bnb_outcome(min_support_bnb(space)) == _bnb_outcome(reference_min_support_bnb(space))
+
+
+def _assert_scan_matches_reference(rows, nverts, d):
+    cols = [list(col) for col in zip(*rows)]
+    total = math.comb(nverts, d - 1)
+    for start, stop in [(0, total), (0, total // 2), (total // 2, total)]:
+        done, found = _hyperplane_scan(cols, nverts, d, start, stop)
+        ref_done, ref_found = reference_hyperplane_scan(rows, nverts, d, start, stop)
+        assert done == ref_done == stop - start
+        # the reference yields kernel vectors, the scan value vectors: compare normal value vectors
+        assert [(support, _normal(values)) for support, values in found] == [
+            (support, _normal([sum(x * y for x, y in zip(row, c)) for row in rows]))
+            for support, c in ref_found
+        ]
+
+
+@pytest.mark.parametrize("n,w,i", [
+    (n, w, i) for n, w, i in REFERENCE_CELLS
+    if _dimension(n, i) >= 2 and math.comb(binomial(n, w), _dimension(n, i) - 1) <= 5000
+])
+def test_hyperplane_scan_matches_the_elimination_reference(n, w, i):
+    basis = eigenspace_basis(JohnsonParams(n, w), i).basis
+    _assert_scan_matches_reference(basis.integer_rows(), basis.rows, basis.cols)
+
+
+@st.composite
+def _projection_walks(draw):
+    d = draw(st.integers(1, 5))
+    nrows = draw(st.integers(d, 9))
+    rows = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=nrows, max_size=nrows
+    ))
+    assume(oracle_rank(rows) == d)
+    order = draw(st.lists(st.integers(0, nrows - 1), max_size=2 * nrows))
+    return rows, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(_projection_walks())
+def test_projection_matches_rank_and_nullspace(case):
+    # force rows one by one: "dependent" is the oracle's rank test, and the
+    # columns always span the value vectors of the kernel of the forced rows
+    rows, order = case
+    d = len(rows[0])
+    cols = [list(col) for col in zip(*rows)]
+    forced: list[list[int]] = []
+    for r in order:
+        projected = _project(cols, r)
+        assert (projected is None) == (oracle_rank(forced + [rows[r]]) == len(forced))
+        if projected is None:
+            continue
+        forced.append(rows[r])
+        cols = projected
+        assert len(cols) == d - len(forced)
+        kernel = nullspace(ExactMatrix.from_rows(forced))
+        kernel_values = [reference_values(rows, kernel.column(c)) for c in range(kernel.cols)]
+        assert oracle_rank(cols) == oracle_rank(cols + kernel_values) == len(cols)
+        if len(cols) == 1:
+            # proportional to rows @ (the kernel vector)
+            (col,), (values,) = cols, kernel_values
+            assert reference_normal(col) == reference_normal(values)
 
 
 @st.composite
@@ -417,6 +547,17 @@ def _generic_subspaces(draw):
     assume(oracle_rank(rows) == d)
     # the search reads only the basis; index and eigenvalue are labels here
     return EigenspaceBasis(params, 1, 0, ExactMatrix.from_rows(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generic_subspaces())
+def test_searches_match_the_elimination_references_on_generic_subspaces(space):
+    for hint in (None, space.basis.rows):
+        assert _bnb_outcome(min_support_bnb(space, upper_bound_hint=hint)) == _bnb_outcome(
+            reference_min_support_bnb(space, upper_bound_hint=hint)
+        )
+    if space.dimension >= 2:
+        _assert_scan_matches_reference(space.basis.integer_rows(), space.basis.rows, space.dimension)
 
 
 @settings(max_examples=150, deadline=None)
