@@ -9,9 +9,12 @@ Neither search eliminates rows. Each keeps the projected columns of a set Z
 of forced rows: cols[j][r] = rows[r] . k_j, where k_0..k_{m-1} is a basis of
 the kernel of Z and m = d - rank(Z), so column j is the value vector of the
 member k_j. Row r is in the span of Z exactly when every cols[j][r] is 0.
-Forcing an independent row r keeps m-1 columns, each combined with the first
-column nonzero at r so that it vanishes there (see _project). At m = 1 the
-one column is the value vector of the one member, up to scale, zero on Z.
+The hyperplane scan forces an independent row r by keeping m-1 columns, each
+combined with the first column nonzero at r so that it vanishes there (see
+_project). The branch and bound keeps its columns in staircase form instead,
+each with its own leading row, so that forcing a row only drops a column
+(see min_support_bnb). At m = 1 the one column is the value vector of the
+one member, up to scale, zero on Z.
 
 Lemma (the elementary vectors of a subspace: Rockafellar 1969): a member c of
 inclusion-minimal support, so any of minimum support, has a zero set Z of
@@ -20,10 +23,10 @@ of Z holds a c' independent of c; c' is nonzero on some row r of supp(c), as
 the rows have rank d, and c - (c(r)/c'(r)) c' is nonzero and zero on Z and r.
 
   - branch and bound: depth-first over vertices in rank order, deciding
-    "forced zero" vs "free"; forcing a row projects the columns, and once
-    one column is left its zeros are counted directly. By the lemma the
-    leaves, whose forced rows have lower rank, need no measuring (see
-    min_support_bnb).
+    "forced zero" vs "free" on staircase columns; forcing a row drops the
+    column that leads there, and once one column is left its zeros are
+    counted directly. By the lemma the leaves, whose forced rows have lower
+    rank, need no measuring (see min_support_bnb).
   - hyperplane enumeration: every (d-1)-subset of rows spanning rank exactly
     d-1 leaves one projected column; count its nonzero entries. By the
     lemma this is complete for the minimum.
@@ -38,6 +41,7 @@ import itertools
 import math
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
@@ -59,6 +63,8 @@ class SearchStats:
     # witness pool: calls to offer, and the distinct value vectors it kept
     offered: int = 0
     valued: int = 0
+    # cross-multiplications of two columns: the bnb's _settle, the scan's _project
+    eliminations: int = 0
 
 
 @dataclass
@@ -108,33 +114,66 @@ def _normal(values) -> tuple[int, ...]:
     return tuple(x // g for x in values)
 
 
-def _project(cols: list[list[int]], r: int) -> list[list[int]] | None:
+def _combine(col: list[int], pivot: list[int], r: int) -> list[int]:
+    """col combined with pivot so that it vanishes at row r, divided by its gcd.
+
+    With a0 = pivot[r] != 0, a = col[r] != 0 and g = gcd(a0, a) this is
+    (a0/g) col - (a/g) pivot. It is not zero when col and pivot are the value
+    vectors of independent members, as the rows have full column rank.
+    """
+    a0, a = pivot[r], col[r]
+    g = math.gcd(a0, a)
+    p, q = a0 // g, a // g
+    new = [p * x - q * y for x, y in zip(col, pivot)]
+    g = math.gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def _project(cols: list[list[int]], r: int, stats: SearchStats) -> list[list[int]] | None:
     """The projected columns once row r is forced to zero; None if r is dependent.
 
-    The first column j0 with a0 = cols[j0][r] != 0 is dropped, and every other
-    column with a = cols[j][r] != 0 becomes (a0/g) col_j - (a/g) col_j0, with
-    g = gcd(a0, a), divided by its own gcd. These are the value vectors of a
-    basis of the smaller kernel; a column already zero at r is shared, not
-    copied. None of them is zero, as the rows have full column rank.
+    The first column j0 nonzero at r is dropped, and every other column
+    nonzero at r is combined with it (_combine). These are the value vectors
+    of a basis of the smaller kernel; a column already zero at r is shared,
+    not copied.
     """
     for j0, pivot in enumerate(cols):
-        a0 = pivot[r]
-        if a0:
+        if pivot[r]:
             break
     else:
         return None
     out = []
     for j, col in enumerate(cols):
-        a = col[r]
-        if not a:
+        if not col[r]:
             out.append(col)
         elif j != j0:
-            g = math.gcd(a0, a)
-            p, q = a0 // g, a // g
-            new = [p * x - q * y for x, y in zip(col, pivot)]
-            g = math.gcd(*new)
-            out.append([x // g for x in new] if g > 1 else new)
+            stats.eliminations += 1
+            out.append(_combine(col, pivot, r))
     return out
+
+
+def _settle(
+    col: list[int], start: int, cols: list[list[int]], leads: list[int], stats: SearchStats
+) -> None:
+    """Insert col into the staircase cols, sorted by their distinct leads.
+
+    The lead of col is its first nonzero row from start on, or N if it has
+    none. While that row is the lead of a column of cols, col is combined
+    with that column (_combine), so that it vanishes there and its lead moves
+    down. Then it goes in at its lead. The span is unchanged.
+    """
+    nverts = len(col)
+    r = start
+    while True:
+        while r < nverts and not col[r]:
+            r += 1
+        j = bisect_left(leads, r)
+        if r == nverts or j == len(leads) or leads[j] != r:
+            break
+        stats.eliminations += 1
+        col = _combine(col, cols[j], r)
+    cols.insert(j, col)
+    leads.insert(j, r)
 
 
 class _WitnessPool:
@@ -212,9 +251,23 @@ def min_support_bnb(
 ) -> SearchReport:
     """Exact minimum support over all nonzero members of the eigenspace.
 
-    Each node carries the projected columns of its forced rows (module
-    docstring): the "force" child of an independent row gets them from
-    _project, while the "free" child and a dependent row reuse the parent's.
+    Each node k carries the projected columns of its forced rows (module
+    docstring) in staircase form: each column's lead is its first nonzero
+    row from k on, or N if it has none; the columns are sorted by lead, and
+    the leads below N are distinct. So row k is dependent exactly when no
+    column leads there, and then both children reuse the parent's columns.
+    Otherwise the "force" child drops the column that leads at k, as every
+    other one is already zero there, and the "free" child re-settles that
+    column from row k+1 (_settle) once it has passed the prunes; only this
+    step does arithmetic. The columns start settled from row 0. So a path
+    holds at most d + f live columns: the d starting ones and one new column
+    per row it frees, with f <= limit <= N + 1 frees.
+
+    Only the span of the columns decides a node: whether a row is
+    dependent, the number m of columns, and the one member, up to scale, at
+    m = 1. So the nodes, prunes, limit and offers are those of the same
+    search on any other basis of each kernel, such as _project's.
+
     Complete search: every zero pattern of a nonzero member corresponds to
     exactly one root-to-leaf path, the prune on frees > limit can only
     discard patterns with strictly larger support, and at rank d-1, one
@@ -243,7 +296,7 @@ def min_support_bnb(
     limit = upper_bound_hint if upper_bound_hint is not None else nverts + 1
     exhausted = False
 
-    def visit(k: int, frees: list[int], cols: list[list[int]]) -> None:
+    def visit(k: int, frees: list[int], cols: list[list[int]], leads: list[int]) -> None:
         nonlocal exhausted, limit
         if exhausted:
             return
@@ -264,14 +317,24 @@ def min_support_bnb(
             return
         if k == nverts:
             return
-        forced = _project(cols, k)
-        # a dependent row (None) is zero already: forcing it is free
-        visit(k + 1, frees, cols if forced is None else forced)
+        if leads[0] < k:
+            # the free child of row k-1: the column that led there settles anew
+            head, cols, leads = cols[0], cols[1:], leads[1:]
+            _settle(head, k, cols, leads, stats)
+        if leads[0] == k:
+            visit(k + 1, frees, cols[1:], leads[1:])
+        else:
+            # a dependent row is zero already: forcing it is free
+            visit(k + 1, frees, cols, leads)
         frees.append(k)
-        visit(k + 1, frees, cols)
+        visit(k + 1, frees, cols, leads)
         frees.pop()
 
-    visit(0, [], pool.columns())
+    cols: list[list[int]] = []
+    leads: list[int] = []
+    for col in pool.columns():
+        _settle(col, 0, cols, leads, stats)
+    visit(0, [], cols, leads)
     if not exhausted and pool.best is None:
         raise ParameterError(f"upper_bound_hint {upper_bound_hint} is below the minimum support")
     return _report(space, pool, stats, t0, not exhausted, "bnb")
@@ -311,8 +374,9 @@ def min_support_hyperplane(
         results = _hyperplane_parallel(cols, nverts, d, total, workers)
     else:
         results = [_hyperplane_scan(cols, nverts, d, 0, total)]
-    for subsets_done, found in results:
-        stats.subsets += subsets_done
+    for scan_stats, found in results:
+        stats.subsets += scan_stats.subsets
+        stats.eliminations += scan_stats.eliminations
         for support, values in found:
             pool.offer(support, values)
     return _report(space, pool, stats, t0, True, "hyperplane")
@@ -323,23 +387,25 @@ def _hyperplane_scan(cols, nverts, d, start, stop):
 
     levels[t] holds the projected columns of the subset's first t rows, or
     None once they are dependent; a subset re-projects only from the first
-    position where it differs from the one before it.
+    position where it differs from the one before it. Returns the stats of
+    the chunk (subsets and eliminations) and the (support, values) of each
+    subset that ties or beats the best so far.
     """
+    stats = SearchStats()
     found = []
     best = nverts
-    done = 0
     levels = [cols] + [None] * (d - 1)
     prev = ()
     it = itertools.islice(itertools.combinations(range(nverts), d - 1), start, stop)
     for subset in it:
-        done += 1
+        stats.subsets += 1
         p = 0
         while p < len(prev) and prev[p] == subset[p]:
             p += 1
         prev = subset
         for t in range(p, d - 1):
             above = levels[t]
-            levels[t + 1] = None if above is None else _project(above, subset[t])
+            levels[t + 1] = None if above is None else _project(above, subset[t], stats)
         last = levels[d - 1]
         if last is None:
             continue
@@ -348,7 +414,7 @@ def _hyperplane_scan(cols, nverts, d, start, stop):
         if support <= best:
             best = support
             found.append((support, values))
-    return done, found
+    return stats, found
 
 
 def _hyperplane_parallel(cols, nverts, d, total, workers):

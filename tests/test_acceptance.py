@@ -241,6 +241,7 @@ def test_criterion_6_min_eigenvalue_oracle(capsys):
         assert report.all_witnesses_canonical is True
         if (n, i) == (7, 3):
             assert report.stats.nodes == 1_310_759  # pinned search-tree size
+            assert report.stats.eliminations == 246_868  # of the bnb's staircase columns
         assert elapsed < 600, (n, i, elapsed)
         announce(capsys, f"ACCEPTANCE 6 min-eigenvalue-oracle J({n},{i}) i={i}: PASS "
                  f"(min={report.min_support}, {elapsed:.1f}s, {report.algorithm})")

@@ -27,7 +27,14 @@ from johnson_eigen import (
 )
 from johnson_eigen import minsupport
 from johnson_eigen.exact_linalg import ExactMatrix, nullspace
-from johnson_eigen.minsupport import SearchStats, _WitnessPool, _hyperplane_scan, _normal, _project
+from johnson_eigen.minsupport import (
+    SearchStats,
+    _WitnessPool,
+    _hyperplane_scan,
+    _normal,
+    _project,
+    _settle,
+)
 from johnson_eigen.spectral import EigenspaceBasis
 
 from conftest import (
@@ -307,6 +314,7 @@ def test_search_stats_populated():
     assert report.stats.nodes > 0
     hyper = min_support_hyperplane(space)
     assert hyper.stats.subsets == math.comb(10, 3)
+    assert hyper.stats.eliminations == 88
 
 
 def test_verify_bound_node_count_pinned():
@@ -314,6 +322,8 @@ def test_verify_bound_node_count_pinned():
     report = verify_bound(JohnsonParams(8, 2), 2, workers=1)
     assert report.stats.nodes == 97_257
     assert report.min_support == 4
+    # the bnb alone runs here: cross-multiplications of its staircase columns
+    assert report.stats.eliminations == 29_954
 
 
 class _InProcessContext:
@@ -423,7 +433,7 @@ def _reference_scan(cols, nverts, d, start, stop):
     # the elimination-driven scan on the same rows, its kernel vectors valued over Fractions
     rows = list(zip(*cols))
     done, found = reference_hyperplane_scan(rows, nverts, d, start, stop)
-    return done, [
+    return SearchStats(subsets=done), [
         (support, [int(x) for x in reference_normal(reference_values(rows, c))])
         for support, c in found
     ]
@@ -443,7 +453,8 @@ def test_verify_bound_witnesses_match_fraction_pool(monkeypatch, n, w, i):
         assert (report.min_support, report.attained_by_canonical, report.all_witnesses_canonical) == (
             old.min_support, old.attained_by_canonical, old.all_witnesses_canonical
         )
-        assert replace(report.stats, elapsed=0) == replace(old.stats, elapsed=0)
+        # the reference engines count no eliminations: compare every other counter
+        assert replace(report.stats, elapsed=0, eliminations=0) == replace(old.stats, elapsed=0)
 
 
 def _bnb_outcome(report):
@@ -477,9 +488,9 @@ def _assert_scan_matches_reference(rows, nverts, d):
     cols = [list(col) for col in zip(*rows)]
     total = math.comb(nverts, d - 1)
     for start, stop in [(0, total), (0, total // 2), (total // 2, total)]:
-        done, found = _hyperplane_scan(cols, nverts, d, start, stop)
+        stats, found = _hyperplane_scan(cols, nverts, d, start, stop)
         ref_done, ref_found = reference_hyperplane_scan(rows, nverts, d, start, stop)
-        assert done == ref_done == stop - start
+        assert stats.subsets == ref_done == stop - start
         # the reference yields kernel vectors, the scan value vectors: compare normal value vectors
         assert [(support, _normal(values)) for support, values in found] == [
             (support, _normal([sum(x * y for x, y in zip(row, c)) for row in rows]))
@@ -494,6 +505,14 @@ def _assert_scan_matches_reference(rows, nverts, d):
 def test_hyperplane_scan_matches_the_elimination_reference(n, w, i):
     basis = eigenspace_basis(JohnsonParams(n, w), i).basis
     _assert_scan_matches_reference(basis.integer_rows(), basis.rows, basis.cols)
+
+
+def _kernel_values(rows, forced):
+    """The value vectors of a basis of the kernel of the forced rows."""
+    if not forced:
+        return [list(col) for col in zip(*rows)]
+    kernel = nullspace(ExactMatrix.from_rows(forced))
+    return [reference_values(rows, kernel.column(c)) for c in range(kernel.cols)]
 
 
 @st.composite
@@ -518,20 +537,77 @@ def test_projection_matches_rank_and_nullspace(case):
     cols = [list(col) for col in zip(*rows)]
     forced: list[list[int]] = []
     for r in order:
-        projected = _project(cols, r)
+        stats = SearchStats()
+        projected = _project(cols, r, stats)
         assert (projected is None) == (oracle_rank(forced + [rows[r]]) == len(forced))
         if projected is None:
             continue
+        # one cross-multiplication per column nonzero at r, the dropped one aside
+        assert stats.eliminations == sum(1 for col in cols if col[r]) - 1
         forced.append(rows[r])
         cols = projected
         assert len(cols) == d - len(forced)
-        kernel = nullspace(ExactMatrix.from_rows(forced))
-        kernel_values = [reference_values(rows, kernel.column(c)) for c in range(kernel.cols)]
+        kernel_values = _kernel_values(rows, forced)
         assert oracle_rank(cols) == oracle_rank(cols + kernel_values) == len(cols)
         if len(cols) == 1:
             # proportional to rows @ (the kernel vector)
             (col,), (values,) = cols, kernel_values
             assert reference_normal(col) == reference_normal(values)
+
+
+def _assert_staircase(rows, cols, leads, k, forced):
+    nverts, d = len(rows), len(rows[0])
+    real = [lead for lead in leads if lead < nverts]
+    assert leads == sorted(leads) and len(set(real)) == len(real)
+    assert all(lead >= k for lead in leads)
+    for col, lead in zip(cols, leads):
+        # the lead is the first nonzero row from k on
+        assert not any(col[k:lead]) and (lead == nverts or col[lead])
+        assert all(col[r] == 0 for r in forced)
+    forced_rows = [rows[r] for r in forced]
+    rank = oracle_rank(forced_rows)
+    assert oracle_rank(cols) == oracle_rank(cols + _kernel_values(rows, forced_rows)) == d - rank
+
+
+@st.composite
+def _staircase_walks(draw):
+    d = draw(st.integers(1, 5))
+    nrows = draw(st.integers(d, 10))
+    rows = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=nrows, max_size=nrows
+    ))
+    assume(oracle_rank(rows) == d)
+    return rows, draw(st.lists(st.booleans(), min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_staircase_walks())
+def test_staircase_walk_keeps_its_invariant(case):
+    # the bnb's steps on one path, forcing or freeing row k in turn: the
+    # columns stay a staircase of the kernel of the forced rows
+    rows, force = case
+    d = len(rows[0])
+    stats = SearchStats()
+    cols: list[list[int]] = []
+    leads: list[int] = []
+    for col in zip(*rows):
+        _settle(list(col), 0, cols, leads, stats)
+    forced: list[int] = []
+    _assert_staircase(rows, cols, leads, 0, forced)
+    for k, force_k in enumerate(force):
+        if len(cols) == 1:
+            break  # the bnb measures its one column here
+        forced_rows = [rows[r] for r in forced]
+        dependent = leads[0] != k
+        assert dependent == (oracle_rank(forced_rows + [rows[k]]) == oracle_rank(forced_rows))
+        if force_k:
+            forced.append(k)
+            if not dependent:
+                cols, leads = cols[1:], leads[1:]
+        elif not dependent:
+            head, cols, leads = cols[0], cols[1:], leads[1:]
+            _settle(head, k + 1, cols, leads, stats)
+        _assert_staircase(rows, cols, leads, k + 1, forced)
 
 
 @st.composite
@@ -558,6 +634,23 @@ def test_searches_match_the_elimination_references_on_generic_subspaces(space):
         )
     if space.dimension >= 2:
         _assert_scan_matches_reference(space.basis.integer_rows(), space.basis.rows, space.dimension)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generic_subspaces())
+def test_bnb_budget_exhaustion_matches_the_elimination_reference(space):
+    # the same node count at the same point of the tree, and the same best-so-far
+    for budget in (1, 2, 7, 50):
+        assert _bnb_outcome(min_support_bnb(space, node_budget=budget)) == _bnb_outcome(
+            reference_min_support_bnb(space, node_budget=budget)
+        )
+
+
+def test_bnb_budget_exhaustion_matches_the_elimination_reference_on_j73_i2():
+    space = eigenspace_basis(JohnsonParams(7, 3), 2)
+    report = min_support_bnb(space, node_budget=20_000)
+    assert report.stats.nodes == 20_001 and not report.proven_optimal
+    assert _bnb_outcome(report) == _bnb_outcome(reference_min_support_bnb(space, node_budget=20_000))
 
 
 @settings(max_examples=150, deadline=None)
