@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import binomial
-from .errors import ParameterError
-from .johnson import JohnsonParams, SparseFunction
+from .errors import ParameterError, SizeBudgetError
+from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction
 from .operators import swap_maps_to
 
 Pair = tuple[int, int]
@@ -62,7 +62,10 @@ def support_size_bound(n: int, w: int, i: int) -> int:
 
 
 def build_canonical(params: JohnsonParams, pairing: PairingConfig) -> SparseFunction:
-    """Construct the canonical eigenfunction of J(n,w) for the given pairing."""
+    """Construct the canonical eigenfunction of J(n,w) for the given pairing.
+
+    SizeBudgetError if its support would exceed MAX_OUTPUT_TERMS entries.
+    """
     n, w = params.n, params.w
     i = pairing.size
     if i > w:
@@ -73,6 +76,9 @@ def build_canonical(params: JohnsonParams, pairing: PairingConfig) -> SparseFunc
         raise ParameterError(
             f"no support: need w-i <= n-2i, got w-i={w - i}, n-2i={n - 2 * i}"
         )
+    size = support_size_bound(n, w, i)
+    if size > MAX_OUTPUT_TERMS:
+        raise SizeBudgetError(f"canonical function has {size} entries, over the cap {MAX_OUTPUT_TERMS}")
     return SparseFunction(params, pairing_values(n, w, pairing.pairs))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 
 from .canonical import PairingConfig, build_canonical, default_pairing, support_size_bound
@@ -230,17 +229,13 @@ def cmd_minsupport(args) -> int:
     node_budget = args.budget or DEFAULT_NODE_BUDGET
     subset_budget = args.budget or DEFAULT_SUBSET_BUDGET
     if args.algo == "both":
-        report = verify_bound(
-            params, args.i,
-            node_budget=node_budget, subset_budget=subset_budget,
-            witness_cap=args.witness_cap, workers=args.threads,
-        )
+        report = verify_bound(params, args.i, node_budget, subset_budget, args.witness_cap)
     else:
         space = eigenspace_basis(params, args.i)
         if args.algo == "bnb":
             report = min_support_bnb(space, node_budget, args.witness_cap)
         else:
-            report = min_support_hyperplane(space, subset_budget, args.witness_cap, args.threads)
+            report = min_support_hyperplane(space, subset_budget, args.witness_cap)
     if args.json:
         sys.stdout.write(dumps_document(_report_payload(report, dim)))
     else:
@@ -271,7 +266,6 @@ def cmd_table(args) -> int:
                     params, i,
                     node_budget=args.budget or DEFAULT_NODE_BUDGET,
                     subset_budget=args.budget or DEFAULT_SUBSET_BUDGET,
-                    workers=args.threads,
                 )
                 if report.proven_optimal:
                     rows.append([
@@ -348,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node budget (bnb) / subset budget (hyperplane)")
     p.add_argument("--witness-cap", type=_positive_int, default=DEFAULT_WITNESS_CAP,
                    dest="witness_cap")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_minsupport)
 
@@ -356,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_int_in(1, MAX_COORDS), required=True, dest="max_n")
     p.add_argument("--max-w", type=_int_in(0), dest="max_w")
     p.add_argument("--budget", type=_positive_int)
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--csv", help="write CSV to this file instead of stdout")
     p.set_defaults(handler=cmd_table)
 

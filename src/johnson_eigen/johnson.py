@@ -17,6 +17,10 @@ from .errors import ParameterError, ParamsMismatchError
 
 Rational = Fraction | int
 
+# The most terms a constructor or operator may enumerate for one function:
+# the support of build_canonical, the (vertex, superset) pairs of induce.
+MAX_OUTPUT_TERMS = 1_000_000
+
 
 @dataclass(frozen=True)
 class JohnsonParams:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
@@ -352,7 +351,9 @@ def min_support_hyperplane(
     minimum-support member is the kernel normal of the d-1 independent rows
     its zero set contains, whose value vector is the one projected column
     those rows leave (module docstring). Always cross-checked against the
-    branch and bound before a result is treated as final.
+    branch and bound before a result is treated as final. The scan runs in
+    the calling process; workers is checked (at least 1) and changes no
+    output and no counter.
     """
     _check_searchable(space, witness_cap, workers)
     basis = space.basis
@@ -367,37 +368,25 @@ def min_support_hyperplane(
     t0 = time.perf_counter()
     stats = SearchStats()
     pool = _WitnessPool(basis, witness_cap, stats)
-    cols = pool.columns()
-    # one forked process per chunk: never more than the machine has
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and total >= 4096:
-        results = _hyperplane_parallel(cols, nverts, d, total, workers)
-    else:
-        results = [_hyperplane_scan(cols, nverts, d, 0, total)]
-    for scan_stats, found in results:
-        stats.subsets += scan_stats.subsets
-        stats.eliminations += scan_stats.eliminations
-        for support, values in found:
-            pool.offer(support, values)
+    _hyperplane_scan(pool.columns(), pool)
     return _report(space, pool, stats, t0, True, "hyperplane")
 
 
-def _hyperplane_scan(cols, nverts, d, start, stop):
-    """Scan combinations with lexicographic index in [start, stop).
+def _hyperplane_scan(cols: list[list[int]], pool) -> None:
+    """Scan every (d-1)-subset of the N rows of the d columns in lexicographic order.
 
     levels[t] holds the projected columns of the subset's first t rows, or
     None once they are dependent; a subset re-projects only from the first
-    position where it differs from the one before it. Returns the stats of
-    the chunk (subsets and eliminations) and the (support, values) of each
+    position where it differs from the one before it. Counts subsets and
+    eliminations in pool.stats and offers pool the (support, values) of each
     subset that ties or beats the best so far.
     """
-    stats = SearchStats()
-    found = []
+    nverts, d = len(cols[0]), len(cols)
+    stats = pool.stats
     best = nverts
     levels = [cols] + [None] * (d - 1)
     prev = ()
-    it = itertools.islice(itertools.combinations(range(nverts), d - 1), start, stop)
-    for subset in it:
+    for subset in itertools.combinations(range(nverts), d - 1):
         stats.subsets += 1
         p = 0
         while p < len(prev) and prev[p] == subset[p]:
@@ -413,22 +402,7 @@ def _hyperplane_scan(cols, nverts, d, start, stop):
         support = nverts - values.count(0)
         if support <= best:
             best = support
-            found.append((support, values))
-    return stats, found
-
-
-def _hyperplane_parallel(cols, nverts, d, total, workers):
-    import multiprocessing as mp
-
-    chunks = []
-    step = -(-total // workers)
-    for w in range(workers):
-        start, stop = w * step, min((w + 1) * step, total)
-        if start < stop:
-            chunks.append((cols, nverts, d, start, stop))
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=len(chunks)) as pool:
-        return pool.starmap(_hyperplane_scan, chunks)
+            pool.offer(support, values)
 
 
 def verify_bound(
@@ -437,7 +411,6 @@ def verify_bound(
     node_budget: int = DEFAULT_NODE_BUDGET,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     witness_cap: int = DEFAULT_WITNESS_CAP,
-    workers: int = 1,
 ) -> SearchReport:
     """Run both oracles where applicable, cross-check them, and compare to the bound.
 
@@ -449,10 +422,12 @@ def verify_bound(
     raises OracleDisagreementError. attained_by_canonical records whether the
     minimum equals the bound and at least one reported witness is a scalar
     multiple of a canonical function, all_witnesses_canonical whether every
-    one is; both stay None if optimality was not proven.
+    one is; both stay None if optimality was not proven. Both oracles run
+    one after the other in the calling process, so every counter in stats is
+    deterministic.
     """
     space = eigenspace_basis(params, i)
-    _check_searchable(space, witness_cap, workers, node_budget)
+    _check_searchable(space, witness_cap, node_budget=node_budget)
     hint = None
     if params.w - i <= params.n - 2 * i:
         f_can = build_canonical(params, default_pairing(i))
@@ -466,7 +441,7 @@ def verify_bound(
     min_support = report.min_support
     witnesses = report.witnesses
     if space.dimension >= 2 and math.comb(space.basis.rows, space.dimension - 1) <= subset_budget:
-        hyper = min_support_hyperplane(space, subset_budget, witness_cap, workers)
+        hyper = min_support_hyperplane(space, subset_budget, witness_cap)
         algorithm = "bnb+hyperplane"
         for f in fields(SearchStats):
             setattr(report.stats, f.name, getattr(report.stats, f.name) + getattr(hyper.stats, f.name))

@@ -11,17 +11,19 @@ integer numerators of scaled_numerators and divide once per output value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
-from .johnson import JohnsonParams, SparseFunction, function_from_sums, scaled_numerators
+from .errors import ParameterError, SizeBudgetError
+from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, function_from_sums, scaled_numerators
 
 
 def induce(f: SparseFunction, target_w: int) -> SparseFunction:
     """Upward induction from J(n,i) to J(n,w): g(x) = sum of f over weight-i subsets of x.
 
     A lambda-eigenfunction of J(n,i) induces a (lambda + (w-i)(n-i-w))-eigenfunction
-    of J(n,w); the result may legitimately be zero.
+    of J(n,w); the result may legitimately be zero. SizeBudgetError if the
+    |supp f| * C(n-i, w-i) terms would exceed MAX_OUTPUT_TERMS.
     """
     n, i = f.params.n, f.params.w
     if target_w < i:
@@ -29,6 +31,9 @@ def induce(f: SparseFunction, target_w: int) -> SparseFunction:
     if target_w > n:
         raise ParameterError(f"target weight {target_w} exceeds n={n}")
     extra = target_w - i
+    terms = len(f.entries) * math.comb(n - i, extra)
+    if terms > MAX_OUTPUT_TERMS:
+        raise SizeBudgetError(f"induction needs {terms} terms, over the cap {MAX_OUTPUT_TERMS}")
     den, nums = scaled_numerators(f)
     acc: dict[int, int] = {}
     for y, v in nums.items():

@@ -438,15 +438,14 @@ def reference_min_support_bnb(space, node_budget=5_000_000, witness_cap=16, uppe
     )
 
 
-def reference_hyperplane_scan(rows, nverts, d, start, stop):
+def reference_hyperplane_scan(rows, nverts, d):
     """The hyperplane scan with one fresh echelon and kernel solve per subset:
-    the subsets with lexicographic index in [start, stop), and (support,
-    kernel coefficient vector) for each one that ties or beats the best."""
+    the number of (d-1)-subsets, and (support, kernel coefficient vector) for
+    each one that ties or beats the best, in lexicographic order."""
     found = []
     best = nverts
     done = 0
-    it = itertools.islice(itertools.combinations(range(nverts), d - 1), start, stop)
-    for subset in it:
+    for subset in itertools.combinations(range(nverts), d - 1):
         done += 1
         ech = IntEchelon(d, map(rows.__getitem__, subset))
         if ech.rank != d - 1:

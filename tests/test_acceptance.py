@@ -254,7 +254,7 @@ def test_criterion_7_bound_table_stable(capsys):
     assert set(by_key) == {(5, 2, 1), (6, 2, 1), (7, 2, 1), (6, 3, 1)}
     for (n, w, i), stored in by_key.items():
         params = JohnsonParams(n, w)
-        report = verify_bound(params, i, workers=1)
+        report = verify_bound(params, i)
         assert report.proven_optimal
         assert report.algorithm == "bnb+hyperplane"  # both oracles ran and agreed
         assert report.bound == support_size_bound(n, w, i)

@@ -215,6 +215,32 @@ def test_threads_below_one_is_usage_error(capsys):
             assert "--threads" in err
 
 
+def test_minsupport_stdout_does_not_depend_on_threads(capsys):
+    # C(21,5) = 20,349 subsets: the scan runs beside the branch and bound
+    argv = ["minsupport", "--n", "7", "--w", "2", "--i", "1", "--algo", "both", "--json"]
+    runs = [invoke(capsys, argv + extra) for extra in (["--threads", "1"], ["--threads", "2"], [])]
+    assert runs[0][0] == 0 and json.loads(runs[0][1])["algorithm"] == "bnb+hyperplane"
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_canonical_over_the_output_cap_is_size_limit(capsys):
+    # C(40,20) ~ 1.4e11 entries: refused before any vertex is enumerated
+    code, out, err = invoke(capsys, ["canonical", "--n", "40", "--w", "20", "--i", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[SIZE_LIMIT] canonical function has 137846528820 entries")
+
+
+def test_induce_over_the_output_cap_is_size_limit(tmp_path, capsys):
+    src, dst = str(tmp_path / "f.json"), tmp_path / "g.json"
+    assert invoke(capsys, ["canonical", "--n", "64", "--w", "1", "--i", "0", "--out", src])[0] == 0
+    # 64 support vertices times C(63,31) supersets each
+    code, out, err = invoke(capsys, ["induce", "--func", src, "--target-w", "32", "--out", str(dst)])
+    assert code == 2
+    assert out == "" and not dst.exists()
+    assert err.startswith("error[SIZE_LIMIT] induction needs")
+
+
 def test_witness_cap_below_one_is_usage_error(capsys):
     for cap in ("0", "-2"):
         code, out, err = invoke(capsys, ["minsupport", "--n", "5", "--w", "2", "--i", "2",

@@ -1,8 +1,6 @@
 """Minimum-support search: oracle agreement, witness soundness, budgets."""
 
 import math
-import multiprocessing
-import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,8 +13,10 @@ from johnson_eigen import (
     OracleDisagreementError,
     ParameterError,
     SizeBudgetError,
+    SparseFunction,
     binomial,
     eigenspace_basis,
+    eigenvalue,
     is_eigenfunction,
     match_canonical,
     rank_subset,
@@ -266,7 +266,7 @@ ADOPTED_WITNESSES = [
 def test_verify_bound_exhausted_bnb_adopts_hyperplane_value():
     # node budget 1 starves the branch and bound; the completed hyperplane scan
     # still supplies a consistent (unproven) value and witnesses
-    report = verify_bound(JohnsonParams(5, 2), 1, node_budget=1, workers=1)
+    report = verify_bound(JohnsonParams(5, 2), 1, node_budget=1)
     assert not report.proven_optimal
     assert report.algorithm == "bnb+hyperplane"
     assert report.min_support == 6
@@ -293,19 +293,7 @@ def test_verify_bound_raises_when_the_oracles_disagree(monkeypatch, node_budget,
     bnb = min_support_bnb(eigenspace_basis(JohnsonParams(5, 2), 1), upper_bound_hint=6, **budget)
     assert bnb.min_support == 6 and bnb.proven_optimal == (node_budget is None)
     with pytest.raises(OracleDisagreementError, match="bnb found 6 but hyperplane found"):
-        verify_bound(JohnsonParams(5, 2), 1, workers=1, **budget)
-
-
-def test_hyperplane_parallel_matches_sequential():
-    # C(21,5) = 20349 subsets is above the parallel gate, so workers=3 really forks
-    space = eigenspace_basis(JohnsonParams(7, 2), 1)
-    seq = min_support_hyperplane(space, workers=1)
-    par = min_support_hyperplane(space, workers=3)
-    assert par.min_support == seq.min_support
-    assert par.stats.subsets == seq.stats.subsets
-    assert [sorted(w.entries.items()) for w in par.witnesses] == [
-        sorted(w.entries.items()) for w in seq.witnesses
-    ]
+        verify_bound(JohnsonParams(5, 2), 1, **budget)
 
 
 def test_search_stats_populated():
@@ -319,47 +307,42 @@ def test_search_stats_populated():
 
 def test_verify_bound_node_count_pinned():
     # a change in the search order or the pruning must show here on purpose
-    report = verify_bound(JohnsonParams(8, 2), 2, workers=1)
+    report = verify_bound(JohnsonParams(8, 2), 2)
     assert report.stats.nodes == 97_257
     assert report.min_support == 4
     # the bnb alone runs here: cross-multiplications of its staircase columns
     assert report.stats.eliminations == 29_954
 
 
-class _InProcessContext:
-    """Stands in for the fork context: records the pool size, runs chunks in process."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def Pool(self, processes):
-        self.sizes.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, chunks):
-        return [fn(*chunk) for chunk in chunks]
+@pytest.mark.parametrize("n,w,i,pinned", [
+    (7, 2, 1, SearchStats(subsets=20_349, offered=7_287, valued=21, eliminations=9_958)),
+    (6, 3, 1, SearchStats(subsets=4_845, offered=2_881, valued=16, eliminations=1_260)),
+])
+def test_hyperplane_counters_do_not_depend_on_workers(n, w, i, pinned):
+    space = eigenspace_basis(JohnsonParams(n, w), i)
+    for k in (1, 2, 4):
+        assert replace(min_support_hyperplane(space, workers=k).stats, elapsed=0) == pinned
 
 
-def test_hyperplane_pool_capped_at_cpu_count(monkeypatch):
-    # C(20,4) = 4845 subsets is above the parallel gate
-    space = eigenspace_basis(JohnsonParams(6, 3), 1)
-    seq = min_support_hyperplane(space, workers=1)
-    ctx = _InProcessContext()
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
-    par = min_support_hyperplane(space, workers=1000)
-    assert ctx.sizes == [2]
-    assert par.min_support == seq.min_support
-    assert par.stats.subsets == seq.stats.subsets
-    assert [sorted(w.entries.items()) for w in par.witnesses] == [
-        sorted(w.entries.items()) for w in seq.witnesses
-    ]
+def test_j82_i1_meets_the_bound_with_a_non_canonical_function():
+    params = JohnsonParams(8, 2)
+    # the bound is the proven minimum, by the branch and bound alone
+    report = verify_bound(params, 1)
+    assert (report.min_support, report.bound, report.proven_optimal) == (12, 12, True)
+    assert report.stats.nodes == 120_215
+    # the scan is skipped: C(28,6) subsets are over its budget
+    assert report.algorithm == "bnb" and report.stats.subsets == 0
+    assert math.comb(28, 6) == 376_740 > minsupport.DEFAULT_SUBSET_BUDGET
+    # f({a,b}) = (g(a)+g(b))/2 meets the bound and is no multiple of a canonical function
+    g = [-1, 1, 1, -1, -1, -1, 1, 1]
+    f = SparseFunction(params, {
+        (1 << a) | (1 << b): Fraction(g[a] + g[b], 2)
+        for a in range(8) for b in range(a + 1, 8) if g[a] == g[b]
+    })
+    assert f.support_size == 12
+    assert is_eigenfunction(f, eigenvalue(params, 1)).holds
+    assert match_canonical(f, 1) is None
+    assert [match_canonical(w_fn, 1) is None for w_fn in report.witnesses].count(True) == 6
 
 
 def test_hyperplane_rejects_nonpositive_workers():
@@ -367,13 +350,6 @@ def test_hyperplane_rejects_nonpositive_workers():
     for workers in (0, -3):
         with pytest.raises(ParameterError):
             min_support_hyperplane(space, workers=workers)
-
-
-@pytest.mark.parametrize("n,w,i", [(8, 2, 2), (5, 2, 1)])
-def test_verify_bound_rejects_nonpositive_workers(n, w, i):
-    # J(8,2) i=2 skips the hyperplane scan, J(5,2) i=1 runs it; both check workers
-    with pytest.raises(ParameterError, match="workers must be at least 1, got 0"):
-        verify_bound(JohnsonParams(n, w), i, workers=0)
 
 
 def test_witness_cap_below_one_rejected():
@@ -389,9 +365,9 @@ def test_witness_cap_below_one_rejected():
 
 def test_pool_counters_pinned():
     # offers from both oracles, and the distinct kernel normals among them that were valued
-    report = verify_bound(JohnsonParams(6, 3), 1, workers=1)
+    report = verify_bound(JohnsonParams(6, 3), 1)
     assert (report.stats.offered, report.stats.valued) == (2_897, 32)
-    report = verify_bound(JohnsonParams(8, 2), 2, workers=1)
+    report = verify_bound(JohnsonParams(8, 2), 2)
     assert (report.stats.offered, report.stats.valued) == (210, 64)
 
 
@@ -429,32 +405,29 @@ def test_integer_pool_matches_fraction_valuation(case):
     assert stats.offered == len(stream)
 
 
-def _reference_scan(cols, nverts, d, start, stop):
+def _reference_scan(cols, pool):
     # the elimination-driven scan on the same rows, its kernel vectors valued over Fractions
     rows = list(zip(*cols))
-    done, found = reference_hyperplane_scan(rows, nverts, d, start, stop)
-    return SearchStats(subsets=done), [
-        (support, [int(x) for x in reference_normal(reference_values(rows, c))])
-        for support, c in found
-    ]
+    done, found = reference_hyperplane_scan(rows, len(rows), len(cols))
+    pool.stats.subsets += done
+    for support, c in found:
+        pool.offer(support, [int(x) for x in reference_normal(reference_values(rows, c))])
 
 
 @pytest.mark.parametrize("n,w,i", [(5, 2, 2), (6, 3, 1)])
 def test_verify_bound_witnesses_match_fraction_pool(monkeypatch, n, w, i):
-    new = verify_bound(JohnsonParams(n, w), i, workers=1)
-    par = verify_bound(JohnsonParams(n, w), i, workers=2)
+    new = verify_bound(JohnsonParams(n, w), i)
     monkeypatch.setattr(minsupport, "min_support_bnb", reference_min_support_bnb)
     monkeypatch.setattr(minsupport, "_hyperplane_scan", _reference_scan)
-    old = verify_bound(JohnsonParams(n, w), i, workers=1)
+    old = verify_bound(JohnsonParams(n, w), i)
     entries = [sorted(w_fn.entries.items()) for w_fn in old.witnesses]
     assert entries
-    for report in (new, par):
-        assert [sorted(w_fn.entries.items()) for w_fn in report.witnesses] == entries
-        assert (report.min_support, report.attained_by_canonical, report.all_witnesses_canonical) == (
-            old.min_support, old.attained_by_canonical, old.all_witnesses_canonical
-        )
-        # the reference engines count no eliminations: compare every other counter
-        assert replace(report.stats, elapsed=0, eliminations=0) == replace(old.stats, elapsed=0)
+    assert [sorted(w_fn.entries.items()) for w_fn in new.witnesses] == entries
+    assert (new.min_support, new.attained_by_canonical, new.all_witnesses_canonical) == (
+        old.min_support, old.attained_by_canonical, old.all_witnesses_canonical
+    )
+    # the reference engines count no eliminations: compare every other counter
+    assert replace(new.stats, elapsed=0, eliminations=0) == replace(old.stats, elapsed=0)
 
 
 def _bnb_outcome(report):
@@ -484,18 +457,27 @@ def test_bnb_matches_the_elimination_reference(n, w, i):
     assert _bnb_outcome(min_support_bnb(space)) == _bnb_outcome(reference_min_support_bnb(space))
 
 
+class _OfferLog:
+    """Stands in for the witness pool: records every offer in order."""
+
+    def __init__(self):
+        self.stats = SearchStats()
+        self.offers = []
+
+    def offer(self, support, values):
+        self.offers.append((support, values))
+
+
 def _assert_scan_matches_reference(rows, nverts, d):
-    cols = [list(col) for col in zip(*rows)]
-    total = math.comb(nverts, d - 1)
-    for start, stop in [(0, total), (0, total // 2), (total // 2, total)]:
-        stats, found = _hyperplane_scan(cols, nverts, d, start, stop)
-        ref_done, ref_found = reference_hyperplane_scan(rows, nverts, d, start, stop)
-        assert stats.subsets == ref_done == stop - start
-        # the reference yields kernel vectors, the scan value vectors: compare normal value vectors
-        assert [(support, _normal(values)) for support, values in found] == [
-            (support, _normal([sum(x * y for x, y in zip(row, c)) for row in rows]))
-            for support, c in ref_found
-        ]
+    log = _OfferLog()
+    _hyperplane_scan([list(col) for col in zip(*rows)], log)
+    ref_done, ref_found = reference_hyperplane_scan(rows, nverts, d)
+    assert log.stats.subsets == ref_done == math.comb(nverts, d - 1)
+    # the reference yields kernel vectors, the scan value vectors: compare normal value vectors
+    assert [(support, _normal(values)) for support, values in log.offers] == [
+        (support, _normal([sum(x * y for x, y in zip(row, c)) for row in rows]))
+        for support, c in ref_found
+    ]
 
 
 @pytest.mark.parametrize("n,w,i", [
