@@ -24,7 +24,6 @@ from .errors import (
 from .fileformat import (
     dumps_document,
     function_to_document,
-    rational_to_string,
     read_function,
     write_function,
 )
@@ -117,10 +116,7 @@ def _report_payload(report: SearchReport, dim: int) -> dict:
         "all_witnesses_canonical": report.all_witnesses_canonical,
         "proven_optimal": report.proven_optimal,
         "stats": {"nodes": report.stats.nodes, "subsets": report.stats.subsets},
-        "witnesses": [
-            [[rank_subset(x), rational_to_string(w.entries[x])] for x in w.support]
-            for w in report.witnesses
-        ],
+        "witnesses": [function_to_document(w)["entries"] for w in report.witnesses],
     }
 
 
@@ -275,17 +271,15 @@ def cmd_table(args) -> int:
                 else:
                     rows.append([n, w, i, lam, dim, bound, "budget", "", "budget"])
     header = ["n", "w", "i", "lambda", "dim", "bound", "min_support", "attained_canonical", "status"]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(out.getvalue())
         print(f"wrote {len(rows)} rows to {args.csv}")
     else:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
         sys.stdout.write(out.getvalue())
     return EXIT_OK
 

@@ -28,16 +28,17 @@ the rows have rank d, and c - (c(r)/c'(r)) c' is nonzero and zero on Z and r.
     counted directly. By the lemma the leaves, whose forced rows have lower
     rank, need no measuring (see min_support_bnb).
   - hyperplane enumeration: every (d-1)-subset of rows spanning rank exactly
-    d-1 leaves one projected column; count its nonzero entries. By the
-    lemma this is complete for the minimum.
+    d-1 leaves one projected column; count its nonzero entries. The subsets
+    are walked depth first by prefix, and a dependent prefix is skipped with
+    every subset under it. By the lemma this is complete for the minimum.
 
-The branch and bound is the authority; the hyperplane scan is the
-independent confirmer.
+The branch and bound is the authority and supplies the witnesses; the
+hyperplane scan is the independent confirmer of its minimum, and supplies
+the value and witnesses only when the branch and bound ran out of budget.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from bisect import bisect_left
@@ -373,36 +374,37 @@ def min_support_hyperplane(
 
 
 def _hyperplane_scan(cols: list[list[int]], pool) -> None:
-    """Scan every (d-1)-subset of the N rows of the d columns in lexicographic order.
+    """Walk every (d-1)-subset of the N rows of the d columns in lexicographic order.
 
-    levels[t] holds the projected columns of the subset's first t rows, or
-    None once they are dependent; a subset re-projects only from the first
-    position where it differs from the one before it. Counts subsets and
-    eliminations in pool.stats and offers pool the (support, values) of each
-    subset that ties or beats the best so far.
+    Depth first over prefixes: each step forces the next row r (_project) and
+    recurses on the rows after r that leave room for the rest of the subset.
+    A dependent row ends its whole branch, so no subset under a dependent
+    prefix is visited; all C(N, d-1) subsets are covered, and counted in
+    pool.stats up front. At one column left the support is measured, and pool
+    is offered the (support, values) of each subset that ties or beats the
+    best so far. The recursion depth is d-1.
     """
     nverts, d = len(cols[0]), len(cols)
     stats = pool.stats
+    stats.subsets += math.comb(nverts, d - 1)
     best = nverts
-    levels = [cols] + [None] * (d - 1)
-    prev = ()
-    for subset in itertools.combinations(range(nverts), d - 1):
-        stats.subsets += 1
-        p = 0
-        while p < len(prev) and prev[p] == subset[p]:
-            p += 1
-        prev = subset
-        for t in range(p, d - 1):
-            above = levels[t]
-            levels[t + 1] = None if above is None else _project(above, subset[t], stats)
-        last = levels[d - 1]
-        if last is None:
-            continue
-        values = last[0]
-        support = nverts - values.count(0)
-        if support <= best:
-            best = support
-            pool.offer(support, values)
+
+    def walk(start: int, cols: list[list[int]]) -> None:
+        nonlocal best
+        if len(cols) == 1:
+            values = cols[0]
+            support = nverts - values.count(0)
+            if support <= best:
+                best = support
+                pool.offer(support, values)
+            return
+        # row r and the len(cols) - 2 rows still to come after it must fit below nverts
+        for r in range(start, nverts - len(cols) + 2):
+            projected = _project(cols, r, stats)
+            if projected is not None:
+                walk(r + 1, projected)
+
+    walk(0, cols)
 
 
 def verify_bound(
@@ -416,10 +418,13 @@ def verify_bound(
 
     The canonical function, when it exists, is verified as an eigenfunction
     and its support is the bnb's starting limit; it is a member of the
-    eigenspace, so the search can never do worse. Where the scan runs too,
-    equal minima pool the witnesses, the bnb's first; an exhausted bnb above
-    the scan takes the scan's value and witnesses, and any other difference
-    raises OracleDisagreementError. attained_by_canonical records whether the
+    eigenspace, so the search can never do worse. The bnb checks witness_cap,
+    node_budget and an empty space, which has no canonical function. Where
+    the scan runs too, it confirms: a proven bnb must equal its minimum and
+    keeps its own witnesses, as it offers every minimum-support member; an
+    exhausted bnb takes the scan's value and witnesses unless it found a
+    smaller value itself. Any other difference raises
+    OracleDisagreementError. attained_by_canonical records whether the
     minimum equals the bound and at least one reported witness is a scalar
     multiple of a canonical function, all_witnesses_canonical whether every
     one is; both stay None if optimality was not proven. Both oracles run
@@ -427,7 +432,6 @@ def verify_bound(
     deterministic.
     """
     space = eigenspace_basis(params, i)
-    _check_searchable(space, witness_cap, node_budget=node_budget)
     hint = None
     if params.w - i <= params.n - 2 * i:
         f_can = build_canonical(params, default_pairing(i))
@@ -445,16 +449,15 @@ def verify_bound(
         algorithm = "bnb+hyperplane"
         for f in fields(SearchStats):
             setattr(report.stats, f.name, getattr(report.stats, f.name) + getattr(hyper.stats, f.name))
-        if hyper.min_support == min_support:
-            new = [w for w in hyper.witnesses if w not in witnesses]
-            witnesses = (witnesses + new)[:witness_cap]
-        elif report.proven_optimal or (min_support is not None and min_support < hyper.min_support):
+        if hyper.min_support != min_support and (
+            report.proven_optimal or (min_support is not None and min_support < hyper.min_support)
+        ):
             raise OracleDisagreementError(
                 f"bnb found {min_support} but hyperplane found {hyper.min_support} "
                 f"on J({params.n},{params.w}) index {i}"
             )
-        else:
-            # an exhausted bnb trails the completed scan: take the scan's value
+        if not report.proven_optimal:
+            # an exhausted bnb defers to the completed scan
             min_support, witnesses = hyper.min_support, hyper.witnesses
     for w in witnesses:
         v = is_eigenfunction(w, space.lam)

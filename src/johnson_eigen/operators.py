@@ -171,33 +171,22 @@ class PartitionResult:
 def coordinate_partition(f: SparseFunction) -> PartitionResult:
     """Partition the coordinates by the zero-pair relation.
 
-    The relation is transitive (two zero reductions sharing a coordinate force
-    the third), so union-find over pairs in ascending order suffices and pairs
-    already joined are skipped without re-testing.
+    The relation is an equivalence: transposing a coordinate with itself
+    fixes f, the test is symmetric, and two zero reductions sharing a
+    coordinate force the third. So each coordinate is tested only against the
+    first member of each block found so far, and opens a new block when it
+    matches none.
     """
     n = f.params.n
     if f.params.w in (0, n):
         # single-vertex graph: every transposition fixes f
         return PartitionResult((tuple(range(n)),) if n else ())
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            r1, r2 = find(j1), find(j2)
-            if r1 == r2:
-                continue
-            if zero_pair(f, j1, j2):
-                if r1 > r2:
-                    r1, r2 = r2, r1
-                parent[r2] = r1
-    groups: dict[int, list[int]] = {}
+    blocks: list[list[int]] = []
     for c in range(n):
-        groups.setdefault(find(c), []).append(c)
-    blocks = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    return PartitionResult(blocks)
+        for block in blocks:
+            if zero_pair(f, block[0], c):
+                block.append(c)
+                break
+        else:
+            blocks.append([c])
+    return PartitionResult(tuple(map(tuple, blocks)))

@@ -308,6 +308,10 @@ def test_table_csv(tmp_path, capsys):
     assert r_431[8] == "empty"
     # every (n,w,i) cell in range is present
     assert len(rows) - 1 == sum((w + 1) for n in range(1, 6) for w in range(0, n + 1))
+    # the file holds exactly the bytes the same table prints to stdout
+    code, out, _ = invoke(capsys, ["table", "--max-n", "5", "--threads", "1"])
+    assert code == 0
+    assert Path(out_csv).read_bytes() == out.encode()
 
 
 def test_table_marks_oversized_and_budget_cells(capsys):

@@ -263,15 +263,19 @@ ADOPTED_WITNESSES = [
 ]
 
 
-def test_verify_bound_exhausted_bnb_adopts_hyperplane_value():
-    # node budget 1 starves the branch and bound; the completed hyperplane scan
-    # still supplies a consistent (unproven) value and witnesses
-    report = verify_bound(JohnsonParams(5, 2), 1, node_budget=1)
+@pytest.mark.parametrize("budget,offered,valued", [
+    (1, 100, 25), (50, 108, 33), (100, 114, 39), (150, 121, 46), (200, 124, 49),
+])
+def test_verify_bound_exhausted_bnb_adopts_hyperplane_value(budget, offered, valued):
+    # these budgets starve the branch and bound (239 nodes); the completed
+    # hyperplane scan supplies the (unproven) value and all of the witnesses,
+    # whatever the branch and bound found before it stopped
+    report = verify_bound(JohnsonParams(5, 2), 1, node_budget=budget)
     assert not report.proven_optimal
     assert report.algorithm == "bnb+hyperplane"
     assert report.min_support == 6
     assert report.attained_by_canonical is None
-    assert (report.stats.offered, report.stats.valued) == (100, 25)
+    assert (report.stats.offered, report.stats.valued) == (offered, valued)
     assert [
         [(rank_subset(x), f.entries[x]) for x in f.support] for f in report.witnesses
     ] == ADOPTED_WITNESSES
@@ -449,6 +453,33 @@ REFERENCE_CELLS = [
     for i in range(0, min(w, n - w) + 1)
     if _dimension(n, i) > 0
 ]
+
+
+def _scanned_cells():
+    """Every cell with n <= 7 that verify_bound confirms by the scan."""
+    cells = []
+    for n in range(1, 8):
+        for w in range(n + 1):
+            for i in range(min(w, n - w) + 1):
+                d = _dimension(n, i)
+                if d >= 2 and math.comb(binomial(n, w), d - 1) <= minsupport.DEFAULT_SUBSET_BUDGET:
+                    cells.append((n, w, i))
+    return cells
+
+
+@pytest.mark.parametrize("n,w,i", _scanned_cells())
+def test_verify_bound_keeps_the_proven_bnb_witnesses(n, w, i):
+    # a proven bnb offers every minimum-support member: it reports cap
+    # witnesses, or every one there is, so the scan, which only confirms the
+    # minimum, has no witness to add
+    space = eigenspace_basis(JohnsonParams(n, w), i)
+    for cap in (1, 2, 16):
+        report = verify_bound(JohnsonParams(n, w), i, witness_cap=cap)
+        assert report.proven_optimal and report.algorithm == "bnb+hyperplane"
+        bnb = min_support_bnb(space, witness_cap=cap).witnesses
+        assert report.witnesses == bnb
+        scan = min_support_hyperplane(space, witness_cap=cap).witnesses
+        assert len(bnb) == cap or all(w_fn in bnb for w_fn in scan)
 
 
 @pytest.mark.parametrize("n,w,i", REFERENCE_CELLS)
