@@ -79,7 +79,7 @@ def build_canonical(params: JohnsonParams, pairing: PairingConfig) -> SparseFunc
     size = support_size_bound(n, w, i)
     if size > MAX_OUTPUT_TERMS:
         raise SizeBudgetError(f"canonical function has {size} entries, over the cap {MAX_OUTPUT_TERMS}")
-    return SparseFunction(params, pairing_values(n, w, pairing.pairs))
+    return SparseFunction._trusted(params, {x: Fraction(v) for x, v in pairing_values(n, w, pairing.pairs).items()})
 
 
 def pairing_values(n: int, w: int, pairs) -> dict[int, int]:

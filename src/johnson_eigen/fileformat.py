@@ -86,7 +86,7 @@ def document_to_function(doc) -> tuple[SparseFunction, int | None]:
         if rational_to_string(v) != s:
             raise FunctionFileError(f"rational {s!r} is not in canonical lowest terms")
         table[unrank_subset(r, n, w)] = v
-    return SparseFunction(params, table), lam_index
+    return SparseFunction._trusted(params, table), lam_index
 
 
 def dumps_document(doc) -> str:

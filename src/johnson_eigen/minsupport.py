@@ -43,6 +43,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError
@@ -226,7 +227,7 @@ def _report(space, pool, stats, t0, proven, algorithm) -> SearchReport:
     params = space.params
     verts = list(params.vertices())
     witnesses = [
-        SparseFunction(params, {x: v for x, v in zip(verts, vals) if v})
+        SparseFunction._trusted(params, {x: Fraction(v) for x, v in zip(verts, vals) if v})
         for vals in pool.final_vectors()
     ]
     return SearchReport(

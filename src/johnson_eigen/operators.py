@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, SizeBudgetError
-from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, function_from_sums, scaled_numerators
+from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, down_sums, function_from_sums, scaled_numerators
 
 
 def induce(f: SparseFunction, target_w: int) -> SparseFunction:
@@ -55,15 +55,7 @@ def induce_down_one(f: SparseFunction) -> SparseFunction:
     if w == 0:
         raise ParameterError("cannot induce below weight 0")
     den, nums = scaled_numerators(f)
-    acc: dict[int, int] = {}
-    for y, v in nums.items():
-        ins = y
-        while ins:
-            abit = ins & -ins
-            ins ^= abit
-            x = y ^ abit
-            acc[x] = acc.get(x, 0) + v
-    return function_from_sums(JohnsonParams(n, w - 1), acc, den)
+    return function_from_sums(JohnsonParams(n, w - 1), down_sums(nums), den)
 
 
 def _delete_coordinate(mask: int, j: int) -> int:

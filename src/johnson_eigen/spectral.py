@@ -17,7 +17,7 @@ from .canonical import pairing_values
 from .combinatorics import binomial, rank_subset
 from .errors import AmbiguousEigenvalueError, BasisCheckError, ParameterError, SizeBudgetError
 from .exact_linalg import ExactMatrix, span_basis
-from .johnson import JohnsonParams, SparseFunction, adjacency_sums, neighbors, scaled_numerators
+from .johnson import JohnsonParams, SparseFunction, adjacency_sums, as_fraction, neighbors, scaled_numerators
 
 # Largest vertex count of adjacency_matrix and eigenspace_basis, whose
 # results are dense matrices with one row per vertex.
@@ -100,17 +100,17 @@ class EigenspaceBasis:
         """The sparse function whose value vector is basis @ coeffs."""
         if len(coeffs) != self.basis.cols:
             raise ParameterError(f"expected {self.basis.cols} coefficients, got {len(coeffs)}")
+        coeffs = [as_fraction(v) for v in coeffs]
         entries = {}
-        verts = list(self.params.vertices())
-        for r, x in enumerate(verts):
+        for r, x in enumerate(self.params.vertices()):
             acc = Fraction(0)
             row = self.basis.row(r)
             for c, v in zip(row, coeffs):
                 if c and v:
-                    acc += c * Fraction(v)
+                    acc += c * v
             if acc:
                 entries[x] = acc
-        return SparseFunction(self.params, entries)
+        return SparseFunction._trusted(self.params, entries)
 
     def column_function(self, j: int) -> SparseFunction:
         coeffs = [0] * self.basis.cols
@@ -194,8 +194,8 @@ def eigenspace_basis(params: JohnsonParams, i: int) -> EigenspaceBasis:
 def _failing_vertices(nums: dict[int, int], n: int, lam: int) -> list[int]:
     """Vertices x where lam * f(x) != (A f)(x), for f with integer values nums.
 
-    The equation can only fail on supp(f) united with supp(A f): elsewhere it
-    reads 0 = 0.
+    It can only fail on supp(f) and supp(A f), and adjacency_sums keys every
+    vertex where A f is nonzero: elsewhere the equation reads 0 = 0.
     """
     sums = adjacency_sums(nums, n)
     return [x for x in nums.keys() | sums.keys() if sums.get(x, 0) != lam * nums.get(x, 0)]
@@ -204,9 +204,9 @@ def _failing_vertices(nums: dict[int, int], n: int, lam: int) -> list[int]:
 def is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:
     """Check lam * f = A f on the integer numerators of f.
 
-    Only supp(f) and its neighborhood are visited, which is what makes
-    verification possible without enumerating all C(n,w) vertices. The
-    certificate is the failing vertex of lowest rank.
+    A f = U D f - w f (adjacency_sums) visits only supp(f), its (w-1)-subsets
+    and the supersets of the nonzero down sums, and on an eigenfunction D
+    cancels most sums. The certificate is the failing vertex of lowest rank.
     """
     if f.is_zero():
         return EigenVerdict(holds=True, is_zero=True)

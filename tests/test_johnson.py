@@ -6,17 +6,37 @@ import pytest
 
 from johnson_eigen import (
     JohnsonParams,
+    PairingConfig,
     ParameterError,
     ParamsMismatchError,
     SparseFunction,
     adjacent,
     apply_adjacency,
+    build_canonical,
+    eigenspace_basis,
+    induce,
+    induce_down_one,
     johnson_distance,
+    min_support_bnb,
     neighbors,
+    read_function,
+    reduce,
     vertex_from_elements,
+    write_function,
 )
+from johnson_eigen.canonical import pairing_values
+from johnson_eigen.johnson import adjacency_sums
 
-from conftest import dense_adjacency_by_definition, make_rng, random_rational, random_sparse_function
+from conftest import (
+    dense_adjacency_by_definition,
+    make_rng,
+    random_member,
+    random_rational,
+    random_sparse_function,
+    reference_induce,
+    reference_induce_down_one,
+    reference_reduce,
+)
 
 V = vertex_from_elements
 
@@ -149,3 +169,137 @@ def test_apply_adjacency_matches_dense_matrix():
         fv = [f(x) for x in verts]
         for r, x in enumerate(verts):
             assert g(x) == sum(a * v for a, v in zip(dense[r], fv) if a)
+
+
+# -- the public constructor takes int vertices and int or Fraction values only --
+
+
+def test_constructor_rejects_a_float_value():
+    with pytest.raises(ParameterError):
+        SparseFunction(JohnsonParams(4, 2), {3: 0.1})
+
+
+def test_constructor_rejects_a_string_value():
+    with pytest.raises(ParameterError):
+        SparseFunction(JohnsonParams(4, 2), {3: "2/3"})
+
+
+def test_constructor_rejects_a_nan_value():
+    with pytest.raises(ParameterError):
+        SparseFunction(JohnsonParams(4, 2), {3: float("nan")})
+
+
+def test_constructor_rejects_a_bool_value():
+    with pytest.raises(ParameterError):
+        SparseFunction(JohnsonParams(4, 2), {3: True})
+
+
+def test_constructor_rejects_a_float_key():
+    with pytest.raises(ParameterError):
+        SparseFunction(JohnsonParams(4, 2), {3.0: 1})
+    with pytest.raises(ParameterError):
+        neighbors(3.0, JohnsonParams(4, 2))
+
+
+def test_constructor_rejects_a_string_key():
+    with pytest.raises(ParameterError):
+        SparseFunction(JohnsonParams(4, 2), {"3": 1})
+
+
+def test_constructor_rejects_a_bool_key():
+    with pytest.raises(ParameterError):
+        SparseFunction(JohnsonParams(1, 1), {True: 1})
+
+
+def test_scale_rejects_a_float_factor():
+    f = SparseFunction(JohnsonParams(4, 2), {3: 1})
+    with pytest.raises(ParameterError):
+        f.scale(0.5)
+    with pytest.raises(ParameterError):
+        f.scale(False)
+
+
+def test_member_rejects_a_float_coefficient():
+    space = eigenspace_basis(JohnsonParams(4, 2), 1)
+    with pytest.raises(ParameterError):
+        space.member([0.5] + [0] * (space.dimension - 1))
+
+
+def test_constructor_keeps_ints_and_fractions_exact():
+    f = SparseFunction(JohnsonParams(4, 2), [(3, 2), (5, Fraction(2, 3)), (6, Fraction(0))])
+    assert f.entries == {3: Fraction(2), 5: Fraction(2, 3)}
+    assert all(type(v) is Fraction for v in f.entries.values())
+
+
+# -- the scatter A = U D - w I against the gather by definition --------------------
+
+
+def test_adjacency_sums_equals_the_gather_on_nonzero_sums():
+    # every (n, w) with at most 126 vertices: that takes in w in {0, 1, n-1, n}
+    # up to n = 64, whose vertices use bit 63
+    rng = make_rng(404)
+    for n in range(65):
+        for w in range(n + 1):
+            params = JohnsonParams(n, w)
+            if params.num_vertices > 126:
+                continue
+            dense, verts = dense_adjacency_by_definition(params)
+            for support in ([], verts, [x for x in verts if rng.random() < 0.3]):
+                nums = {x: rng.choice([-(2**70), -3, -1, 1, 2, 5]) for x in support}
+                gathered = {}
+                for row, x in zip(dense, verts):
+                    s = sum(nums.get(y, 0) for a, y in zip(row, verts) if a)
+                    if s:
+                        gathered[x] = s
+                assert {x: s for x, s in adjacency_sums(nums, n).items() if s} == gathered
+
+
+def test_adjacency_sums_on_the_canonical_function_cancel_down_to_its_eigenvalue():
+    # J(16,6), i = 3: lambda_3 = 3 * 7 - 3 = 18
+    f = build_canonical(JohnsonParams(16, 6), PairingConfig(((0, 5), (3, 9), (12, 7))))
+    nums = {x: int(v) for x, v in f.entries.items()}
+    assert {x: s for x, s in adjacency_sums(nums, 16).items() if s} == {x: 18 * v for x, v in nums.items()}
+
+
+# -- functions the package builds without re-validating them -------------------------
+
+
+def _check_built(g: SparseFunction) -> SparseFunction:
+    """Every entry is a nonzero Fraction on an int vertex of g's graph, and the public
+    constructor gives back the same function."""
+    for x, v in g.entries.items():
+        assert type(x) is int and type(v) is Fraction and v
+        g.params.check_vertex(x)
+    assert SparseFunction(g.params, g.entries) == g
+    return g
+
+
+def test_built_functions_equal_the_public_constructor(tmp_path):
+    rng = make_rng(606)
+    p = JohnsonParams(8, 3)
+    for f in [random_sparse_function(p, rng, density=0.4).scale(random_rational(rng)) for _ in range(3)]:
+        g = random_sparse_function(p, rng, density=0.4)
+        c = Fraction(-7, 3)
+        assert _check_built(apply_adjacency(f)) == SparseFunction(p, {
+            x: sum((f(y) for y in neighbors(x, p)), Fraction(0)) for x in p.vertices()
+        })
+        assert _check_built(induce(f, 5)) == reference_induce(f, 5)
+        assert _check_built(induce_down_one(f)) == reference_induce_down_one(f)
+        assert _check_built(reduce(f, 6, 1)) == reference_reduce(f, 6, 1)
+        assert _check_built(f.scale(c)) == SparseFunction(p, {x: c * v for x, v in f.entries.items()})
+        assert _check_built(f + g) == SparseFunction(p, {x: f(x) + g(x) for x in p.vertices()})
+        assert _check_built(f - f).is_zero()
+        path = tmp_path / "f.json"
+        write_function(str(path), f, None)
+        written = path.read_bytes()
+        back, _ = read_function(str(path))
+        assert _check_built(back) == f
+        write_function(str(path), back, None)
+        assert path.read_bytes() == written
+    for pairs in [(), ((0, 1),), ((2, 7), (5, 3)), ((0, 1), (2, 3), (4, 5))]:
+        can = build_canonical(p, PairingConfig(pairs))
+        assert _check_built(can) == SparseFunction(p, pairing_values(8, 3, pairs))
+    space = eigenspace_basis(JohnsonParams(6, 2), 2)
+    _check_built(random_member(space, rng))
+    for witness in min_support_bnb(space).witnesses:
+        _check_built(witness)

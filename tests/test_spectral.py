@@ -1,5 +1,6 @@
 """Spectrum formulas, eigenspace bases, eigenfunction verdicts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from johnson_eigen import (
     EigenspaceBasis,
     ExactMatrix,
     JohnsonParams,
+    PairingConfig,
     ParameterError,
     SizeBudgetError,
     SparseFunction,
@@ -31,7 +33,7 @@ from johnson_eigen import (
     vertex_from_elements,
 )
 
-from conftest import oracle_mat_vec, reference_is_eigenfunction
+from conftest import make_rng, oracle_mat_vec, reference_is_eigenfunction
 
 V = vertex_from_elements
 
@@ -188,6 +190,39 @@ def test_is_eigenfunction_matches_gather_reference(case):
     f, lams = case
     for lam in lams:
         assert is_eigenfunction(f, lam) == reference_is_eigenfunction(f, lam)
+
+
+def _canonical_functions(params, rng):
+    """The tableau generators of every eigenspace, and one canonical function of
+    random pairs for each index i."""
+    n, w = params.n, params.w
+    for j in range(min(w, n - w) + 1):
+        for second in itertools.combinations(range(n), j):
+            if all(b >= 2 * k + 1 for k, b in enumerate(second)):
+                first = [c for c in range(n) if c not in second]
+                yield build_canonical(params, PairingConfig(tuple(zip(first, second))))
+    for i in range(w + 1):
+        if w - i <= n - 2 * i:
+            coords = rng.sample(range(n), 2 * i)
+            yield build_canonical(params, PairingConfig(tuple(zip(coords[::2], coords[1::2]))))
+
+
+def test_is_eigenfunction_matches_gather_reference_on_perturbed_eigenfunctions():
+    rng = make_rng(505)
+    for n, w in [(4, 2), (5, 2), (6, 3), (7, 2), (7, 3), (8, 3), (8, 4)]:
+        params = JohnsonParams(n, w)
+        lams = sorted({info.lam for info in spectrum(params)})
+        verts = list(params.vertices())
+        for f in _canonical_functions(params, rng):
+            assert any(is_eigenfunction(f, lam).holds for lam in lams)
+            x = rng.choice(sorted(f.entries))
+            outside = [y for y in verts if y not in f.entries]
+            cases = [f, f + SparseFunction(params, {x: rng.choice([2, -3, Fraction(1, 2)])})]
+            if outside:
+                cases.append(f + SparseFunction(params, {rng.choice(outside): Fraction(-2, 3)}))
+            for g in cases:
+                for lam in lams:
+                    assert is_eigenfunction(g, lam) == reference_is_eigenfunction(g, lam)
 
 
 def test_basis_columns_satisfy_matrix_equation():
