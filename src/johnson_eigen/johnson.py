@@ -189,6 +189,9 @@ def scaled_numerators(f: SparseFunction) -> tuple[int, dict[int, int]]:
 
 def function_from_sums(params: JohnsonParams, sums: Mapping[int, int], den: int) -> SparseFunction:
     """The function x -> sums[x] / den on the nonzero sums, keyed by vertices of params."""
+    if den == 1:
+        # Fraction(s) skips the gcd that Fraction(s, 1) pays to normalize
+        return SparseFunction._trusted(params, {x: Fraction(s) for x, s in sums.items() if s})
     return SparseFunction._trusted(params, {x: Fraction(s, den) for x, s in sums.items() if s})
 
 

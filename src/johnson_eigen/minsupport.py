@@ -44,6 +44,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError
@@ -110,9 +111,9 @@ def _check_searchable(
 def _normal(values) -> tuple[int, ...]:
     """The vector divided by its gcd, first nonzero entry positive."""
     g = math.gcd(*values)
-    if next(x for x in values if x) < 0:
+    if next(filter(None, values)) < 0:
         g = -g
-    return tuple(x // g for x in values)
+    return tuple(values) if g == 1 else tuple(x // g for x in values)
 
 
 def _combine(col: list[int], pivot: list[int], r: int) -> list[int]:
@@ -120,12 +121,19 @@ def _combine(col: list[int], pivot: list[int], r: int) -> list[int]:
 
     With a0 = pivot[r] != 0, a = col[r] != 0 and g = gcd(a0, a) this is
     (a0/g) col - (a/g) pivot. It is not zero when col and pivot are the value
-    vectors of independent members, as the rows have full column rank.
+    vectors of independent members, as the rows have full column rank. When
+    |a| = |a0| both multipliers are 1 or -1, and the combination is a sum or a
+    difference, made without a multiply.
     """
     a0, a = pivot[r], col[r]
-    g = math.gcd(a0, a)
-    p, q = a0 // g, a // g
-    new = [p * x - q * y for x, y in zip(col, pivot)]
+    if a == a0:
+        new = list(map(sub, col, pivot) if a0 > 0 else map(sub, pivot, col))
+    elif a == -a0:
+        new = list(map(add, col, pivot) if a0 > 0 else map(neg, map(add, col, pivot)))
+    else:
+        g = math.gcd(a0, a)
+        p, q = a0 // g, a // g
+        new = [p * x - q * y for x, y in zip(col, pivot)]
     g = math.gcd(*new)
     return [x // g for x in new] if g > 1 else new
 
@@ -262,7 +270,20 @@ def min_support_bnb(
     column from row k+1 (_settle) once it has passed the prunes; only this
     step does arithmetic. The columns start settled from row 0. So a path
     holds at most d + f live columns: the d starting ones and one new column
-    per row it frees, with f <= limit <= N + 1 frees.
+    per row it frees, with f <= limit <= N + 1 frees. A forced child shares
+    the parent's lists and starts one column further on; only a settle
+    copies them.
+
+    A node with as many frees as the limit is closed at once. Each of its
+    free children, and those of every node below it, is pruned on entry, as
+    the limit never grows; so its subtree is the path that forces every row
+    down to row K, where K = leads[-2] + 1 leaves one column (or K = N when
+    two columns lead at N), plus one pruned free child per row of that path.
+    The node counts the K - k forced nodes, then measures the last column
+    as node K would when one column is left there (leads[-2] < N), then
+    counts the K - k free children: the order in which the search would
+    meet them, so the node budget stops it at the same count with the same
+    best so far.
 
     Only the span of the columns decides a node: whether a row is
     dependent, the number m of columns, and the one member, up to scale, at
@@ -297,45 +318,59 @@ def min_support_bnb(
     limit = upper_bound_hint if upper_bound_hint is not None else nverts + 1
     exhausted = False
 
-    def visit(k: int, frees: list[int], cols: list[list[int]], leads: list[int]) -> None:
-        nonlocal exhausted, limit
-        if exhausted:
-            return
-        stats.nodes += 1
-        if stats.nodes > node_budget:
+    def charge(count: int) -> bool:
+        """Add count nodes, stopping where counting them one by one would; False once spent."""
+        nonlocal exhausted
+        if stats.nodes + count > node_budget:
+            stats.nodes = node_budget + 1
             exhausted = True
+            return False
+        stats.nodes += count
+        return True
+
+    def measure(values: list[int], frees: list[int]) -> None:
+        nonlocal limit
+        if 0 in map(values.__getitem__, frees):
             return
-        if len(frees) > limit:
+        support = nverts - values.count(0)
+        if support <= limit:
+            limit = support
+            pool.offer(support, values)
+
+    def visit(k: int, frees: list[int], cols: list[list[int]], leads: list[int], o: int) -> None:
+        # the node's columns are cols[o:], with leads leads[o:]
+        if exhausted or not charge(1) or len(frees) > limit:
             return
-        if len(cols) == 1:
-            values = cols[0]
-            if 0 in map(values.__getitem__, frees):
-                return
-            support = nverts - values.count(0)
-            if support <= limit:
-                limit = support
-                pool.offer(support, values)
+        if len(cols) - o == 1:
+            measure(cols[o], frees)
             return
         if k == nverts:
             return
-        if leads[0] < k:
+        if leads[o] < k:
             # the free child of row k-1: the column that led there settles anew
-            head, cols, leads = cols[0], cols[1:], leads[1:]
+            head, cols, leads, o = cols[o], cols[o + 1 :], leads[o + 1 :], 0
             _settle(head, k, cols, leads, stats)
-        if leads[0] == k:
-            visit(k + 1, frees, cols[1:], leads[1:])
-        else:
-            # a dependent row is zero already: forcing it is free
-            visit(k + 1, frees, cols, leads)
+        if len(frees) == limit:
+            # every free child below is pruned on entry: the forced path to
+            # row stop, its measure at one column, then those free children
+            last = leads[-2]
+            stop = min(last + 1, nverts)
+            if charge(stop - k):
+                if last < nverts:
+                    measure(cols[-1], frees)
+                charge(stop - k)
+            return
+        # forcing row k drops the column that leads there; a dependent row is zero already
+        visit(k + 1, frees, cols, leads, o + 1 if leads[o] == k else o)
         frees.append(k)
-        visit(k + 1, frees, cols, leads)
+        visit(k + 1, frees, cols, leads, o)
         frees.pop()
 
     cols: list[list[int]] = []
     leads: list[int] = []
     for col in pool.columns():
         _settle(col, 0, cols, leads, stats)
-    visit(0, [], cols, leads)
+    visit(0, [], cols, leads, 0)
     if not exhausted and pool.best is None:
         raise ParameterError(f"upper_bound_hint {upper_bound_hint} is below the minimum support")
     return _report(space, pool, stats, t0, not exhausted, "bnb")

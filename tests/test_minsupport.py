@@ -15,6 +15,8 @@ from johnson_eigen import (
     SizeBudgetError,
     SparseFunction,
     binomial,
+    build_canonical,
+    default_pairing,
     eigenspace_basis,
     eigenvalue,
     is_eigenfunction,
@@ -30,6 +32,7 @@ from johnson_eigen.exact_linalg import ExactMatrix, nullspace
 from johnson_eigen.minsupport import (
     SearchStats,
     _WitnessPool,
+    _combine,
     _hyperplane_scan,
     _normal,
     _project,
@@ -520,6 +523,55 @@ def test_hyperplane_scan_matches_the_elimination_reference(n, w, i):
     _assert_scan_matches_reference(basis.integer_rows(), basis.rows, basis.cols)
 
 
+def _generator_normal(values):
+    # _normal as a generator over every entry, with no gcd-1 shortcut
+    g = math.gcd(*values)
+    if next(x for x in values if x) < 0:
+        g = -g
+    return tuple(x // g for x in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=12).filter(any),
+    st.sampled_from([1, -1, 2, -2, 3, -6, 35]),
+)
+def test_normal_matches_the_generator_form(base, scale):
+    # scaled copies cover a negative lead and a gcd above 1
+    values = [scale * x for x in base]
+    assert _normal(values) == _generator_normal(values)
+    assert type(_normal(values)) is tuple
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(10**20), 10**20))
+
+
+@st.composite
+def _column_pairs(draw):
+    size = draw(st.integers(1, 12))
+    col = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    pivot = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        # equal or opposite entries at some rows: the unit-multiplier combines
+        pivot = [draw(st.sampled_from([x, -x, y])) for x, y in zip(col, pivot)]
+    return col, pivot
+
+
+@settings(max_examples=400, deadline=None)
+@given(_column_pairs())
+def test_combine_is_the_cross_multiplication_divided_by_its_gcd(case):
+    col, pivot = case
+    for r in range(len(col)):
+        if not (col[r] and pivot[r]):
+            continue
+        g0 = math.gcd(pivot[r], col[r])
+        p, q = pivot[r] // g0, col[r] // g0
+        new = [p * x - q * y for x, y in zip(col, pivot)]
+        g = math.gcd(*new)
+        expected = [x // g for x in new] if g > 1 else new
+        assert _combine(col, pivot, r) == expected
+
+
 def _kernel_values(rows, forced):
     """The value vectors of a basis of the kernel of the forced rows."""
     if not forced:
@@ -664,6 +716,21 @@ def test_bnb_budget_exhaustion_matches_the_elimination_reference_on_j73_i2():
     report = min_support_bnb(space, node_budget=20_000)
     assert report.stats.nodes == 20_001 and not report.proven_optimal
     assert _bnb_outcome(report) == _bnb_outcome(reference_min_support_bnb(space, node_budget=20_000))
+
+
+@pytest.mark.parametrize("n,w,i,nodes", [(5, 2, 1, 239), (5, 2, 2, 265)])
+def test_bnb_matches_the_elimination_reference_at_every_node_budget(n, w, i, nodes):
+    # a node whose free children are all pruned closes its chain of forced
+    # rows at once: each budget must stop it where the reference stops
+    params = JohnsonParams(n, w)
+    space = eigenspace_basis(params, i)
+    hint = build_canonical(params, default_pairing(i)).support_size
+    for h in (None, hint):
+        assert min_support_bnb(space, upper_bound_hint=h).stats.nodes == nodes
+        for budget in range(1, nodes + 2):
+            assert _bnb_outcome(
+                min_support_bnb(space, node_budget=budget, upper_bound_hint=h)
+            ) == _bnb_outcome(reference_min_support_bnb(space, node_budget=budget, upper_bound_hint=h))
 
 
 @settings(max_examples=150, deadline=None)
