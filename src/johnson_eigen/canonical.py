@@ -29,6 +29,9 @@ class PairingConfig:
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.pairs, tuple)
+                and all(isinstance(p, tuple) and len(p) == 2 and all(type(c) is int for c in p) for p in self.pairs)):
+            raise ParameterError(f"a pairing must be a tuple of pairs, each a tuple of two ints: {self.pairs!r}")
         flat = [c for p in self.pairs for c in p]
         if len(set(flat)) != len(flat):
             raise ParameterError(f"pairing coordinates must be distinct: {self.pairs}")
@@ -79,7 +82,7 @@ def build_canonical(params: JohnsonParams, pairing: PairingConfig) -> SparseFunc
     size = support_size_bound(n, w, i)
     if size > MAX_OUTPUT_TERMS:
         raise SizeBudgetError(f"canonical function has {size} entries, over the cap {MAX_OUTPUT_TERMS}")
-    return SparseFunction._trusted(params, {x: Fraction(v) for x, v in pairing_values(n, w, pairing.pairs).items()})
+    return SparseFunction._from_sums(params, pairing_values(n, w, pairing.pairs))
 
 
 def pairing_values(n: int, w: int, pairs) -> dict[int, int]:
@@ -142,12 +145,14 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
 
     candidate = PairingConfig(pairs)
     g = build_canonical(params, candidate)
-    if set(g.entries) != set(f.entries):
+    if g.nums.keys() != f.nums.keys():
         return None
-    x0 = min(f.entries)
-    scalar = f.entries[x0] / g.entries[x0]
-    if any(f.entries[x] != scalar * gv for x, gv in g.entries.items()):
+    # g is +-1, so f = (s / f.den) g exactly when every f.nums[x] = s g(x)
+    x0 = min(f.nums)
+    s = f.nums[x0] * g.nums[x0]
+    if any(f.nums[x] != s * gv for x, gv in g.nums.items()):
         return None
+    scalar = Fraction(s, f.den)
     if scalar < 0 and pairs:
         # flipping one pair negates the function; flip the last for canonical order
         last = pairs[-1]

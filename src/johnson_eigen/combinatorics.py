@@ -40,18 +40,20 @@ def vertex_from_elements(elements: Iterable[int]) -> int:
     return mask
 
 
+def _check_mask(mask: int) -> None:
+    if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0:
+        raise ParameterError(f"bitmask {mask!r} is not a nonnegative int")
+
+
 def vertex_elements(mask: int) -> tuple[int, ...]:
     """Sorted coordinates set in the bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    _check_mask(mask)
+    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
 
 
 def rank_subset(mask: int) -> int:
     """Co-lex combinadic rank: sum of C(c_k, k) over the sorted 0-based elements c_1 < ... < c_w."""
+    _check_mask(mask)
     r = 0
     k = 1
     while mask:
@@ -66,6 +68,8 @@ def unrank_subset(r: int, n: int, w: int) -> int:
     """Inverse of rank_subset on J(n,w); returns the vertex bitmask of co-lex rank r."""
     if n > MAX_COORDS:
         raise ParameterError(f"n={n} exceeds the {MAX_COORDS}-coordinate limit")
+    if not 0 <= w <= n:
+        raise ParameterError(f"need 0 <= w <= n, got n={n}, w={w}")
     if not 0 <= r < math.comb(n, w):
         raise ParameterError(f"rank {r} out of range for C({n},{w})={math.comb(n, w)}")
     mask = 0

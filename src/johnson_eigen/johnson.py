@@ -1,9 +1,10 @@
 """Matrix-free model of the Johnson graph J(n,w) and sparse rational functions on it.
 
 Two w-subsets are adjacent when they share exactly w-1 elements, so J(n,w)
-is regular of degree w(n-w). Functions are stored sparsely: only nonzero
-values are kept, all of them exact Fractions. A = U D - w I (Delsarte 1973):
-D sums down to the (w-1)-subsets and U back up, in at most (n-w+2)/(n-w)
+is regular of degree w(n-w). Functions are stored sparsely and exactly, as
+integer numerators on the support over one common denominator; Fractions
+appear only where values enter and leave. A = U D - w I (Delsarte 1973): D
+sums down to the (w-1)-subsets and U back up, in at most (n-w+2)/(n-w)
 times the adds of a direct scatter and far fewer on eigenfunctions.
 """
 
@@ -13,6 +14,7 @@ import math
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Iterator, Mapping
+from types import MappingProxyType
 
 from .combinatorics import MAX_COORDS, rank_subset, vertices_in_rank_order
 from .errors import ParameterError, ParamsMismatchError
@@ -58,30 +60,45 @@ class JohnsonParams:
 class SparseFunction:
     """Exact-rational function on the vertices of one J(n,w), stored by support.
 
-    Keys must be int vertex bitmasks and values int or Fraction (bool is
-    neither); anything else raises ParameterError. Zero values are never
-    stored, so the support is exactly the key set of ``entries``. Instances
-    are treated as immutable values; arithmetic returns new functions.
+    Keys must be int vertex bitmasks, each given once, and values int or
+    Fraction (bool is neither); anything else raises ParameterError. The
+    function is stored in lowest terms as f(x) = nums[x] / den: den is a
+    positive int and nums a read-only map from each support vertex to a
+    nonzero int, with gcd(den, *nums) = 1. That form is unique, so equality and hashing compare
+    it directly. Instances are treated as immutable values; arithmetic
+    returns new functions.
     """
 
-    __slots__ = ("params", "entries")
+    __slots__ = ("params", "den", "nums", "_entries")
 
     def __init__(self, params: JohnsonParams, entries: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        table: dict[int, Fraction] = {}
+        table: dict[int, Rational] = {}
         for x, v in items:
             params.check_vertex(x)
-            fv = as_fraction(v)
-            if fv:
-                table[x] = fv
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "entries", table)
+            check_rational(v)
+            if x in table:
+                raise ParameterError(f"vertex {x:#b} is given twice")
+            table[x] = v
+        # the values are in lowest terms, so over the lcm of their denominators
+        # the numerators have no factor in common with it
+        den = math.lcm(*(v.denominator for v in table.values()))
+        nums = {x: v.numerator * (den // v.denominator) for x, v in table.items() if v}
+        for name, value in (("params", params), ("den", den), ("nums", MappingProxyType(nums)), ("_entries", None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _trusted(cls, params: JohnsonParams, table: dict[int, Fraction]) -> "SparseFunction":
-        """table taken as is: nonzero Fractions on vertices of params, built or checked by the package."""
+    def _from_sums(cls, params: JohnsonParams, sums: Mapping[int, int], den: int = 1) -> "SparseFunction":
+        """x -> sums[x] / den on the nonzero sums, in lowest terms; the keys must be
+        vertices of params and den a positive int."""
+        nums = {x: s for x, s in sums.items() if s}
+        g = math.gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {x: s // g for x, s in nums.items()}
         f = cls(params)
-        object.__setattr__(f, "entries", table)
+        object.__setattr__(f, "den", den)
+        object.__setattr__(f, "nums", MappingProxyType(nums))
         return f
 
     def __setattr__(self, name, value):
@@ -96,39 +113,45 @@ class SparseFunction:
         return cls(params, ((x, value) for x in params.vertices()))
 
     def __call__(self, x: int) -> Fraction:
-        return self.entries.get(x, Fraction(0))
+        return Fraction(self.nums.get(x, 0), self.den)
+
+    @property
+    def entries(self) -> Mapping[int, Fraction]:
+        """Read-only view of the support values as Fractions, built on first use and kept."""
+        if self._entries is None:
+            view = {x: Fraction(s, self.den) for x, s in self.nums.items()}
+            object.__setattr__(self, "_entries", MappingProxyType(view))
+        return self._entries
 
     @property
     def support(self) -> list[int]:
         """Support vertices in rank order."""
-        return sorted(self.entries, key=rank_subset)
+        return sorted(self.nums, key=rank_subset)
 
     @property
     def support_size(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseFunction):
             return NotImplemented
-        return self.params == other.params and self.entries == other.entries
+        return (self.params, self.den, self.nums) == (other.params, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.params, frozenset(self.entries.items())))
+        return hash((self.params, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other: "SparseFunction") -> "SparseFunction":
         if self.params != other.params:
             raise ParamsMismatchError(f"functions live on J{astuple(self.params)} and J{astuple(other.params)}")
-        table = dict(self.entries)
-        for x, v in other.entries.items():
-            s = table.get(x, 0) + v
-            if s:
-                table[x] = s
-            else:
-                table.pop(x, None)
-        return SparseFunction._trusted(self.params, table)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        sums = {x: a * s for x, s in self.nums.items()}
+        for x, s in other.nums.items():
+            sums[x] = sums.get(x, 0) + b * s
+        return SparseFunction._from_sums(self.params, sums, den)
 
     def __sub__(self, other: "SparseFunction") -> "SparseFunction":
         return self + other.scale(-1)
@@ -137,23 +160,21 @@ class SparseFunction:
         return self.scale(-1)
 
     def scale(self, c: Rational) -> "SparseFunction":
-        c = as_fraction(c)
-        if not c:
-            return SparseFunction.zero(self.params)
-        return SparseFunction._trusted(self.params, {x: v * c for x, v in self.entries.items()})
+        p, q = check_rational(c).numerator, c.denominator
+        return SparseFunction._from_sums(self.params, {x: p * s for x, s in self.nums.items()}, q * self.den)
 
     def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def __repr__(self):
         return f"SparseFunction(J({self.params.n},{self.params.w}), {self.support_size} nonzeros)"
 
 
-def as_fraction(v: Rational) -> Fraction:
-    """v as a Fraction; ParameterError unless v is an int or a Fraction, and not a bool."""
+def check_rational(v: Rational) -> Rational:
+    """v itself; ParameterError unless v is an int or a Fraction, and not a bool."""
     if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
         raise ParameterError(f"value {v!r} is not an int or Fraction")
-    return Fraction(v)
+    return v
 
 
 def adjacent(x: int, y: int, params: JohnsonParams) -> bool:
@@ -175,24 +196,6 @@ def neighbors(x: int, params: JohnsonParams) -> list[int]:
     params.check_vertex(x)
     bits = [1 << c for c in range(params.n)]
     return [x ^ a | b for a in bits if x & a for b in bits if not x & b]
-
-
-def scaled_numerators(f: SparseFunction) -> tuple[int, dict[int, int]]:
-    """(L, {x: L * f(x)}) with L the lcm of f's denominators.
-
-    Linear operators then add plain integers and divide by L once per output
-    value, instead of adding one Fraction per term.
-    """
-    den = math.lcm(*(v.denominator for v in f.entries.values()))
-    return den, {x: v.numerator * (den // v.denominator) for x, v in f.entries.items()}
-
-
-def function_from_sums(params: JohnsonParams, sums: Mapping[int, int], den: int) -> SparseFunction:
-    """The function x -> sums[x] / den on the nonzero sums, keyed by vertices of params."""
-    if den == 1:
-        # Fraction(s) skips the gcd that Fraction(s, 1) pays to normalize
-        return SparseFunction._trusted(params, {x: Fraction(s) for x, s in sums.items() if s})
-    return SparseFunction._trusted(params, {x: Fraction(s, den) for x, s in sums.items() if s})
 
 
 def down_sums(nums: Mapping[int, int]) -> dict[int, int]:
@@ -236,9 +239,7 @@ def adjacency_sums(nums: Mapping[int, int], n: int) -> dict[int, int]:
 def apply_adjacency(f: SparseFunction) -> SparseFunction:
     """g(x) = sum of f over the neighbors of x, computed by A = U D - w I.
 
-    adjacency_sums adds the integer numerators of scaled_numerators, and each
-    nonzero sum s becomes Fraction(s, L). The result's support is contained
-    in supp(f) united with its neighborhood.
+    adjacency_sums adds the numerators of f over its one denominator. The
+    result's support is contained in supp(f) united with its neighborhood.
     """
-    den, nums = scaled_numerators(f)
-    return function_from_sums(f.params, adjacency_sums(nums, f.params.n), den)
+    return SparseFunction._from_sums(f.params, adjacency_sums(f.nums, f.params.n), f.den)

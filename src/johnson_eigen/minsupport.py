@@ -43,7 +43,6 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
-from fractions import Fraction
 from operator import add, neg, sub
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
@@ -235,7 +234,7 @@ def _report(space, pool, stats, t0, proven, algorithm) -> SearchReport:
     params = space.params
     verts = list(params.vertices())
     witnesses = [
-        SparseFunction._trusted(params, {x: Fraction(v) for x, v in zip(verts, vals) if v})
+        SparseFunction._from_sums(params, dict(zip(verts, vals)))
         for vals in pool.final_vectors()
     ]
     return SearchReport(

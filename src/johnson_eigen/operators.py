@@ -5,7 +5,7 @@ the eigenvalue by (w-i)(n-i-w). Reduction fixes an ordered coordinate pair
 (j1, j2), takes the difference of f over the two ways of placing a single
 one there, and lands in J(n-2, w-1) one spectral index lower. Coordinates of
 the smaller graph are the survivors renumbered in order. All three add the
-integer numerators of scaled_numerators and divide once per output value.
+integer numerators of f and keep its denominator.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, SizeBudgetError
-from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, down_sums, function_from_sums, scaled_numerators
+from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, down_sums
 
 
 def induce(f: SparseFunction, target_w: int) -> SparseFunction:
@@ -31,19 +31,18 @@ def induce(f: SparseFunction, target_w: int) -> SparseFunction:
     if target_w > n:
         raise ParameterError(f"target weight {target_w} exceeds n={n}")
     extra = target_w - i
-    terms = len(f.entries) * math.comb(n - i, extra)
+    terms = len(f.nums) * math.comb(n - i, extra)
     if terms > MAX_OUTPUT_TERMS:
         raise SizeBudgetError(f"induction needs {terms} terms, over the cap {MAX_OUTPUT_TERMS}")
-    den, nums = scaled_numerators(f)
     acc: dict[int, int] = {}
-    for y, v in nums.items():
+    for y, v in f.nums.items():
         comp = [c for c in range(n) if not (y >> c) & 1]
         for add in itertools.combinations(comp, extra):
             x = y
             for c in add:
                 x |= 1 << c
             acc[x] = acc.get(x, 0) + v
-    return function_from_sums(JohnsonParams(n, target_w), acc, den)
+    return SparseFunction._from_sums(JohnsonParams(n, target_w), acc, f.den)
 
 
 def induce_down_one(f: SparseFunction) -> SparseFunction:
@@ -54,8 +53,7 @@ def induce_down_one(f: SparseFunction) -> SparseFunction:
     n, w = f.params.n, f.params.w
     if w == 0:
         raise ParameterError("cannot induce below weight 0")
-    den, nums = scaled_numerators(f)
-    return function_from_sums(JohnsonParams(n, w - 1), down_sums(nums), den)
+    return SparseFunction._from_sums(JohnsonParams(n, w - 1), down_sums(f.nums), f.den)
 
 
 def _delete_coordinate(mask: int, j: int) -> int:
@@ -72,16 +70,15 @@ def reduce(f: SparseFunction, j1: int, j2: int) -> SparseFunction:
     n, w = f.params.n, f.params.w
     _check_reduction_coords(f.params, j1, j2)
     hi, lo = max(j1, j2), min(j1, j2)
-    den, nums = scaled_numerators(f)
     acc: dict[int, int] = {}
-    for x, v in nums.items():
+    for x, v in f.nums.items():
         has1 = (x >> j1) & 1
         has2 = (x >> j2) & 1
         if has1 == has2:
             continue
         y = _delete_coordinate(_delete_coordinate(x, hi), lo)
         acc[y] = acc.get(y, 0) + (v if has1 else -v)
-    return function_from_sums(JohnsonParams(n - 2, w - 1), acc, den)
+    return SparseFunction._from_sums(JohnsonParams(n - 2, w - 1), acc, f.den)
 
 
 def _check_reduction_coords(params: JohnsonParams, j1: int, j2: int) -> None:
@@ -134,14 +131,14 @@ def swap_maps_to(f: SparseFunction, a: int, b: int, sign: int) -> bool:
     the others; so with sign -1 any support vertex holding both or neither fails.
     """
     mask = (1 << a) | (1 << b)
-    entries = f.entries
+    nums = f.nums
     negate = sign < 0
-    for x, v in entries.items():
+    for x, v in nums.items():
         hit = x & mask
         if hit == 0 or hit == mask:
             if negate:
                 return False
-        elif entries.get(x ^ mask) != (-v if negate else v):
+        elif nums.get(x ^ mask) != (-v if negate else v):
             return False
     return True
 

@@ -17,7 +17,7 @@ from .canonical import pairing_values
 from .combinatorics import binomial, rank_subset
 from .errors import AmbiguousEigenvalueError, BasisCheckError, ParameterError, SizeBudgetError
 from .exact_linalg import ExactMatrix, span_basis
-from .johnson import JohnsonParams, SparseFunction, adjacency_sums, as_fraction, neighbors, scaled_numerators
+from .johnson import JohnsonParams, SparseFunction, adjacency_sums, check_rational, neighbors
 
 # Largest vertex count of adjacency_matrix and eigenspace_basis, whose
 # results are dense matrices with one row per vertex.
@@ -100,17 +100,11 @@ class EigenspaceBasis:
         """The sparse function whose value vector is basis @ coeffs."""
         if len(coeffs) != self.basis.cols:
             raise ParameterError(f"expected {self.basis.cols} coefficients, got {len(coeffs)}")
-        coeffs = [as_fraction(v) for v in coeffs]
-        entries = {}
-        for r, x in enumerate(self.params.vertices()):
-            acc = Fraction(0)
-            row = self.basis.row(r)
-            for c, v in zip(row, coeffs):
-                if c and v:
-                    acc += c * v
-            if acc:
-                entries[x] = acc
-        return SparseFunction._trusted(self.params, entries)
+        coeffs = [check_rational(v) for v in coeffs]
+        return SparseFunction(self.params, {
+            x: sum((c * v for c, v in zip(self.basis.row(r), coeffs) if c and v), Fraction(0))
+            for r, x in enumerate(self.params.vertices())
+        })
 
     def column_function(self, j: int) -> SparseFunction:
         coeffs = [0] * self.basis.cols
@@ -210,7 +204,7 @@ def is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:
     """
     if f.is_zero():
         return EigenVerdict(holds=True, is_zero=True)
-    failing = _failing_vertices(scaled_numerators(f)[1], f.params.n, lam)
+    failing = _failing_vertices(f.nums, f.params.n, lam)
     if failing:
         return EigenVerdict(holds=False, is_zero=False, certificate=min(failing, key=rank_subset))
     return EigenVerdict(holds=True, is_zero=False)

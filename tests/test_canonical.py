@@ -68,6 +68,38 @@ def test_build_validation():
         PairingConfig(((0, 0),))
 
 
+def test_pairing_rejects_a_pair_of_three_coordinates():
+    with pytest.raises(ParameterError):
+        PairingConfig(((0, 1, 2),))
+
+
+def test_pairing_rejects_a_pair_of_one_coordinate():
+    with pytest.raises(ParameterError):
+        PairingConfig(((0,),))
+
+
+def test_pairing_rejects_a_float_coordinate():
+    with pytest.raises(ParameterError):
+        PairingConfig(((0, 1.0),))
+
+
+def test_pairing_rejects_a_bool_coordinate():
+    with pytest.raises(ParameterError):
+        PairingConfig(((0, True),))
+
+
+def test_pairing_rejects_a_pair_that_is_not_a_tuple():
+    with pytest.raises(ParameterError):
+        PairingConfig(([0, 1],))
+
+
+def test_pairing_rejects_pairs_that_are_not_a_tuple():
+    # a list of pairs would make the frozen config unhashable
+    for pairs in ([(0, 1)], 5, None):
+        with pytest.raises(ParameterError):
+            PairingConfig(pairs)
+
+
 def test_canonical_functions_are_eigenfunctions_with_exact_support():
     for n in range(1, 15):
         for w in range(0, min(n, 6) + 1):

@@ -93,3 +93,28 @@ def test_vertex_helpers_validate():
         vertex_from_elements([64])
     with pytest.raises(ParameterError):
         unrank_subset(0, 65, 1)
+
+
+def test_rank_subset_rejects_a_negative_mask():
+    with pytest.raises(ParameterError):
+        rank_subset(-1)
+
+
+def test_vertex_elements_rejects_a_negative_mask():
+    with pytest.raises(ParameterError):
+        vertex_elements(-3)
+
+
+def test_mask_helpers_reject_a_non_int_mask():
+    for mask in (3.0, "3", True):
+        with pytest.raises(ParameterError):
+            rank_subset(mask)
+        with pytest.raises(ParameterError):
+            vertex_elements(mask)
+
+
+def test_unrank_subset_rejects_a_weight_outside_0_to_n():
+    with pytest.raises(ParameterError):
+        unrank_subset(0, 5, -1)
+    with pytest.raises(ParameterError):
+        unrank_subset(0, 5, 6)

@@ -1,8 +1,11 @@
 """Graph model: adjacency, distance, neighborhoods, adjacency operator."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from johnson_eigen import (
     JohnsonParams,
@@ -229,6 +232,58 @@ def test_constructor_keeps_ints_and_fractions_exact():
     f = SparseFunction(JohnsonParams(4, 2), [(3, 2), (5, Fraction(2, 3)), (6, Fraction(0))])
     assert f.entries == {3: Fraction(2), 5: Fraction(2, 3)}
     assert all(type(v) is Fraction for v in f.entries.values())
+
+
+def test_constructor_rejects_a_repeated_vertex():
+    # a later pair must not quietly replace an earlier one, zero or not
+    for pairs in ([(3, 1), (3, 0)], [(3, 1), (3, 2)], [(3, 0), (3, 0)]):
+        with pytest.raises(ParameterError):
+            SparseFunction(JohnsonParams(4, 2), pairs)
+
+
+# -- one representation: integer numerators over one denominator in lowest terms --
+
+_P = JohnsonParams(6, 3)
+_VERTICES = list(_P.vertices())
+_RATIONALS = st.integers(-30, 30) | st.fractions(min_value=-30, max_value=30, max_denominator=12)
+_VALUE_MAPS = st.dictionaries(st.sampled_from(_VERTICES), _RATIONALS, max_size=len(_VERTICES))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_VALUE_MAPS, st.lists(st.tuples(st.sampled_from(["scale", "+", "-"]), _RATIONALS, _VALUE_MAPS), max_size=6))
+def test_representation_is_lowest_terms_and_agrees_with_fractions(start, steps):
+    f = SparseFunction(_P, start)
+    ref = {x: Fraction(v) for x, v in start.items()}
+    for op, c, values in steps:
+        if op == "scale":
+            f = f.scale(c)
+            ref = {x: c * v for x, v in ref.items()}
+        else:
+            sign = 1 if op == "+" else -1
+            f = f + SparseFunction(_P, values) if sign > 0 else f - SparseFunction(_P, values)
+            ref = {x: ref.get(x, 0) + sign * values.get(x, 0) for x in ref.keys() | values.keys()}
+        ref = {x: v for x, v in ref.items() if v}
+        assert f.den > 0 and math.gcd(f.den, *f.nums.values()) == 1
+        assert all(type(s) is int and s for s in f.nums.values())
+        assert f.entries == ref and all(type(v) is Fraction for v in f.entries.values())
+        assert [f(x) for x in _VERTICES] == [ref.get(x, 0) for x in _VERTICES]
+        assert f.total() == sum(ref.values())
+        same = SparseFunction(_P, [(x, ref[x]) for x in reversed(list(ref))])
+        assert f == same
+        assert (f.den, f.nums) == (same.den, same.nums) and hash(f) == hash(same)
+
+
+def test_entries_and_nums_are_read_only_and_entries_is_kept_between_accesses():
+    f = SparseFunction(JohnsonParams(4, 2), {3: Fraction(1, 2), 5: 1})
+    g = f.scale(2)
+    assert f.entries is f.entries
+    for h in (f, g):
+        for table in (h.entries, h.nums):
+            with pytest.raises(TypeError):
+                table[3] = 1
+            with pytest.raises(TypeError):
+                table[6] = 1
+    assert f.entries == {3: Fraction(1, 2), 5: 1} and (f.den, f.nums) == (2, {3: 1, 5: 2})
 
 
 # -- the scatter A = U D - w I against the gather by definition --------------------
