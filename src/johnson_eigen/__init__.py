@@ -20,7 +20,6 @@ from .combinatorics import (
     rank_subset,
     unrank_subset,
     vertex_elements,
-    vertex_from_elements,
     vertices_in_rank_order,
 )
 from .errors import (

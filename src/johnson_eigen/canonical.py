@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import binomial
-from .errors import ParameterError, SizeBudgetError
+from .errors import ParameterError, SizeBudgetError, is_int
 from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction
 from .operators import swap_maps_to
 
@@ -30,7 +30,7 @@ class PairingConfig:
 
     def __post_init__(self):
         if not (isinstance(self.pairs, tuple)
-                and all(isinstance(p, tuple) and len(p) == 2 and all(type(c) is int for c in p) for p in self.pairs)):
+                and all(isinstance(p, tuple) and len(p) == 2 and all(map(is_int, p)) for p in self.pairs)):
             raise ParameterError(f"a pairing must be a tuple of pairs, each a tuple of two ints: {self.pairs!r}")
         flat = [c for p in self.pairs for c in p]
         if len(set(flat)) != len(flat):

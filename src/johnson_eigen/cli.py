@@ -26,6 +26,7 @@ from .fileformat import (
     function_to_document,
     read_function,
     write_function,
+    write_text,
 )
 from .johnson import JohnsonParams
 from .minsupport import (
@@ -276,8 +277,7 @@ def cmd_table(args) -> int:
     writer.writerow(header)
     writer.writerows(rows)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            fh.write(out.getvalue())
+        write_text(args.csv, out.getvalue())
         print(f"wrote {len(rows)} rows to {args.csv}")
     else:
         sys.stdout.write(out.getvalue())

@@ -9,9 +9,9 @@ this order is used both in memory and on disk.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
-from .errors import ParameterError
+from .errors import ParameterError, is_int
 
 # A vertex must fit in one machine word.
 MAX_COORDS = 64
@@ -26,22 +26,8 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def vertex_from_elements(elements: Iterable[int]) -> int:
-    """Bitmask with the given coordinates set. Coordinates must be distinct and < MAX_COORDS."""
-    mask = 0
-    count = 0
-    for e in elements:
-        if not 0 <= e < MAX_COORDS:
-            raise ParameterError(f"coordinate {e} out of range 0..{MAX_COORDS - 1}")
-        mask |= 1 << e
-        count += 1
-    if mask.bit_count() != count:
-        raise ParameterError("duplicate coordinates in vertex")
-    return mask
-
-
 def _check_mask(mask: int) -> None:
-    if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0:
+    if not is_int(mask) or mask < 0:
         raise ParameterError(f"bitmask {mask!r} is not a nonnegative int")
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+from fractions import Fraction
 
 
 class JohnsonEigenError(Exception):
@@ -22,7 +24,7 @@ class OracleDisagreementError(JohnsonEigenError):
 
 
 class FunctionFileError(JohnsonEigenError):
-    """Malformed sparse-function file."""
+    """A malformed sparse-function file, or a file that cannot be read or written."""
 
 
 class AmbiguousEigenvalueError(JohnsonEigenError):
@@ -31,3 +33,15 @@ class AmbiguousEigenvalueError(JohnsonEigenError):
 
 class BasisCheckError(JohnsonEigenError):
     """A generated eigenspace basis failed its eigen-check or its rank check."""
+
+
+def is_int(x) -> bool:
+    """True for an int that is not a bool, although bool subclasses int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_rational(v):
+    """v itself; ParameterError unless v is an int or a Fraction, and not a bool."""
+    if not (is_int(v) or isinstance(v, Fraction)):
+        raise ParameterError(f"value {v!r} is not an int or Fraction")
+    return v

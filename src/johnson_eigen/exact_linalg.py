@@ -18,57 +18,29 @@ import math
 from fractions import Fraction
 from collections.abc import Sequence
 
-from .errors import BasisCheckError, ParameterError
+from .errors import BasisCheckError, ParameterError, check_rational, is_int
 
 Rational = Fraction | int
 
 
 class ExactMatrix:
-    """Dense row-major matrix of Fractions in canonical lowest terms."""
+    """Dense row-major matrix of Fractions in canonical lowest terms, built
+    from int or Fraction entries (bool is neither); others raise ParameterError."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Rational]):
-        if rows < 0 or cols < 0 or len(data) != rows * cols:
+        if not (is_int(rows) and is_int(cols) and rows >= 0 and cols >= 0):
+            raise ParameterError(f"shape {rows!r}x{cols!r} is not two nonnegative ints")
+        if len(data) != rows * cols:
             raise ParameterError(f"data length {len(data)} does not match {rows}x{cols}")
         self.rows = rows
         self.cols = cols
         # Fractions are immutable, so existing ones are shared, not rebuilt.
-        self.data = [x if type(x) is Fraction else Fraction(x) for x in data]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "ExactMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        flat: list[Rational] = []
-        for row in rows:
-            if len(row) != nc:
-                raise ParameterError("ragged rows")
-            flat.extend(row)
-        return cls(nr, nc, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
-        r, c = rc
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(rc)
-        return self.data[r * self.cols + c]
+        self.data = [x if type(x) is Fraction else Fraction(check_rational(x)) for x in data]
 
     def row(self, r: int) -> list[Fraction]:
         return self.data[r * self.cols : (r + 1) * self.cols]
-
-    def column(self, c: int) -> list[Fraction]:
-        return self.data[c :: self.cols] if self.cols else []
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [self.row(r) for r in range(self.rows)]
 
     def integer_rows(self) -> list[tuple[int, ...]]:
         """Every row times the lcm of all the matrix's denominators."""

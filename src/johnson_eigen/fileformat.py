@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .combinatorics import rank_subset, unrank_subset
-from .errors import FunctionFileError
+from .errors import FunctionFileError, ParameterError, is_int
 from .johnson import JohnsonParams, SparseFunction
 
 
@@ -34,11 +34,6 @@ def function_to_document(f: SparseFunction, lambda_index: int | None = None) -> 
     }
 
 
-def _is_int(x) -> bool:
-    """A JSON integer; true and false are not integers here, although bool subclasses int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def document_to_function(doc) -> tuple[SparseFunction, int | None]:
     if not isinstance(doc, dict):
         raise FunctionFileError("function file must be a JSON object")
@@ -49,14 +44,12 @@ def document_to_function(doc) -> tuple[SparseFunction, int | None]:
     if unknown:
         raise FunctionFileError(f"unknown fields {sorted(unknown)}")
     n, w = doc["n"], doc["w"]
-    if not (_is_int(n) and _is_int(w)):
-        raise FunctionFileError("n and w must be integers")
     try:
         params = JohnsonParams(n, w)
-    except Exception as exc:
+    except ParameterError as exc:
         raise FunctionFileError(f"bad parameters: {exc}") from exc
     lam_index = doc.get("lambda_index")
-    if lam_index is not None and not _is_int(lam_index):
+    if lam_index is not None and not is_int(lam_index):
         raise FunctionFileError("lambda_index must be an integer or null")
     if lam_index is not None and not 0 <= lam_index <= w:
         raise FunctionFileError(f"lambda_index {lam_index} out of range 0..{w}")
@@ -70,7 +63,7 @@ def document_to_function(doc) -> tuple[SparseFunction, int | None]:
         if not (isinstance(item, list) and len(item) == 2):
             raise FunctionFileError(f"bad entry {item!r}")
         r, s = item
-        if not _is_int(r) or not 0 <= r < nverts:
+        if not is_int(r) or not 0 <= r < nverts:
             raise FunctionFileError(f"rank {r!r} out of range 0..{nverts - 1}")
         if r <= prev_rank:
             raise FunctionFileError("ranks must be strictly increasing")
@@ -93,9 +86,17 @@ def dumps_document(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text to path byte for byte; FunctionFileError if that fails."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FunctionFileError(f"cannot write {path}: {exc}") from exc
+
+
 def write_function(path: str, f: SparseFunction, lambda_index: int | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_document(function_to_document(f, lambda_index)))
+    write_text(path, dumps_document(function_to_document(f, lambda_index)))
 
 
 def read_function(path: str) -> tuple[SparseFunction, int | None]:

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 
 from .combinatorics import MAX_COORDS, rank_subset, vertices_in_rank_order
-from .errors import ParameterError, ParamsMismatchError
+from .errors import ParameterError, ParamsMismatchError, check_rational, is_int
 
 Rational = Fraction | int
 
@@ -28,12 +28,14 @@ MAX_OUTPUT_TERMS = 1_000_000
 
 @dataclass(frozen=True)
 class JohnsonParams:
-    """Parameters (n, w) of a Johnson graph; 0 <= w <= n <= 64."""
+    """Parameters (n, w) of a Johnson graph: ints with 0 <= w <= n <= 64."""
 
     n: int
     w: int
 
     def __post_init__(self):
+        if not (is_int(self.n) and is_int(self.w)):
+            raise ParameterError(f"n and w must be ints, got n={self.n!r}, w={self.w!r}")
         if not 0 <= self.w <= self.n:
             raise ParameterError(f"need 0 <= w <= n, got n={self.n}, w={self.w}")
         if self.n > MAX_COORDS:
@@ -48,7 +50,7 @@ class JohnsonParams:
         return self.w * (self.n - self.w)
 
     def check_vertex(self, x: int) -> None:
-        if isinstance(x, bool) or not isinstance(x, int):
+        if not is_int(x):
             raise ParameterError(f"vertex {x!r} is not an int bitmask")
         if x < 0 or x.bit_count() != self.w or x >> self.n:
             raise ParameterError(f"bitmask {x:#b} is not a vertex of J({self.n},{self.w})")
@@ -168,13 +170,6 @@ class SparseFunction:
 
     def __repr__(self):
         return f"SparseFunction(J({self.params.n},{self.params.w}), {self.support_size} nonzeros)"
-
-
-def check_rational(v: Rational) -> Rational:
-    """v itself; ParameterError unless v is an int or a Fraction, and not a bool."""
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-        raise ParameterError(f"value {v!r} is not an int or Fraction")
-    return v
 
 
 def adjacent(x: int, y: int, params: JohnsonParams) -> bool:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, fields, replace
 from operator import add, neg, sub
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
-from .errors import OracleDisagreementError, ParameterError, SizeBudgetError
+from .errors import OracleDisagreementError, ParameterError, SizeBudgetError, is_int
 from .exact_linalg import IntEchelon
 from .johnson import JohnsonParams, SparseFunction
 from .spectral import EigenspaceBasis, eigenspace_basis, is_eigenfunction
@@ -93,15 +93,17 @@ class SearchReport:
 
 
 def _check_searchable(
-    space: EigenspaceBasis, witness_cap: int, workers: int = 1, node_budget: int = 1
+    space: EigenspaceBasis, witness_cap: int, workers: int = 1, node_budget: int = 1, **optional
 ) -> None:
-    """Raise ParameterError for a cap, worker count or node budget below 1, or an empty space."""
-    if witness_cap < 1:
-        raise ParameterError(f"witness_cap must be at least 1, got {witness_cap}")
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
-    if node_budget < 1:
-        raise ParameterError(f"node_budget must be at least 1, got {node_budget}")
+    """Raise ParameterError for an argument that is not an int (bool is not), for a
+    cap, worker count or node budget below 1, or for an empty space. The optional
+    keyword arguments may also be None."""
+    counts = {"witness_cap": witness_cap, "workers": workers, "node_budget": node_budget}
+    for name, value in (counts | optional).items():
+        if not (is_int(value) or value is None and name in optional):
+            raise ParameterError(f"{name} must be an int, got {value!r}")
+        if name in counts and value < 1:
+            raise ParameterError(f"{name} must be at least 1, got {value}")
     if space.dimension < 1:
         n, w = space.params.n, space.params.w
         raise ParameterError(f"eigenspace of J({n},{w}) at index {space.i} is empty")
@@ -308,7 +310,7 @@ def min_support_bnb(
     below the minimum prunes every member, and a search that completes with
     no offer raises ParameterError. A node budget below 1 raises too.
     """
-    _check_searchable(space, witness_cap, node_budget=node_budget)
+    _check_searchable(space, witness_cap, node_budget=node_budget, upper_bound_hint=upper_bound_hint)
     nverts = space.basis.rows
     t0 = time.perf_counter()
     stats = SearchStats()
@@ -391,7 +393,7 @@ def min_support_hyperplane(
     the calling process; workers is checked (at least 1) and changes no
     output and no counter.
     """
-    _check_searchable(space, witness_cap, workers)
+    _check_searchable(space, witness_cap, workers, subset_budget=subset_budget)
     basis = space.basis
     nverts, d = basis.rows, basis.cols
     if d < 2:
@@ -453,8 +455,8 @@ def verify_bound(
 
     The canonical function, when it exists, is verified as an eigenfunction
     and its support is the bnb's starting limit; it is a member of the
-    eigenspace, so the search can never do worse. The bnb checks witness_cap,
-    node_budget and an empty space, which has no canonical function. Where
+    eigenspace, so the search can never do worse. The arguments and an empty
+    space, which has no canonical function, are checked first. Where
     the scan runs too, it confirms: a proven bnb must equal its minimum and
     keeps its own witnesses, as it offers every minimum-support member; an
     exhausted bnb takes the scan's value and witnesses unless it found a
@@ -467,6 +469,7 @@ def verify_bound(
     deterministic.
     """
     space = eigenspace_basis(params, i)
+    _check_searchable(space, witness_cap, node_budget=node_budget, subset_budget=subset_budget)
     hint = None
     if params.w - i <= params.n - 2 * i:
         f_can = build_canonical(params, default_pairing(i))

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .canonical import pairing_values
 from .combinatorics import binomial, rank_subset
-from .errors import AmbiguousEigenvalueError, BasisCheckError, ParameterError, SizeBudgetError
+from .errors import AmbiguousEigenvalueError, BasisCheckError, ParameterError, SizeBudgetError, check_rational, is_int
 from .exact_linalg import ExactMatrix, span_basis
-from .johnson import JohnsonParams, SparseFunction, adjacency_sums, check_rational, neighbors
+from .johnson import JohnsonParams, SparseFunction, adjacency_sums, neighbors
 
 # Largest vertex count of adjacency_matrix and eigenspace_basis, whose
 # results are dense matrices with one row per vertex.
@@ -48,8 +48,8 @@ class EigenVerdict:
 def eigenvalue(params: JohnsonParams, i: int) -> int:
     """lambda_i(n, w) = (w-i)(n-w-i) - i."""
     n, w = params.n, params.w
-    if not 0 <= i <= w:
-        raise ParameterError(f"eigenvalue index {i} out of range 0..{w}")
+    if not (is_int(i) and 0 <= i <= w):
+        raise ParameterError(f"eigenvalue index {i!r} is not an int in 0..{w}")
     return (w - i) * (n - w - i) - i
 
 
@@ -105,11 +105,6 @@ class EigenspaceBasis:
             x: sum((c * v for c, v in zip(self.basis.row(r), coeffs) if c and v), Fraction(0))
             for r, x in enumerate(self.params.vertices())
         })
-
-    def column_function(self, j: int) -> SparseFunction:
-        coeffs = [0] * self.basis.cols
-        coeffs[j] = 1
-        return self.member(coeffs)
 
 
 def _check_budget(params: JohnsonParams) -> int:

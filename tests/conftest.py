@@ -30,6 +30,11 @@ from johnson_eigen.operators import swap_maps_to
 from johnson_eigen.spectral import EigenspaceBasis, EigenVerdict
 
 
+def V(coords) -> int:
+    """The vertex bitmask with these coordinates set."""
+    return sum(1 << c for c in coords)
+
+
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
@@ -378,7 +383,7 @@ def reference_min_support_bnb(space, node_budget=5_000_000, witness_cap=16, uppe
     basis = space.basis
     nverts, d = basis.rows, basis.cols
     rows = basis.integer_rows()
-    fraction_rows = basis.row_lists()
+    fraction_rows = [basis.row(r) for r in range(nverts)]
     stats = SearchStats()
     pool = ReferenceWitnessPool(witness_cap, stats)
     ech = _PushPopEchelon(d)

@@ -123,7 +123,7 @@ def test_criterion_3_induction_theorem(capsys):
             for e in spectrum(p):
                 basis = eigenspace_basis(p, e.i)
                 for c in range(basis.dimension):
-                    f = basis.column_function(c)
+                    f = basis.member([int(j == c) for j in range(basis.dimension)])
                     for w in range(i, n + 1):
                         g = induce(f, w)
                         shifted = e.lam + (w - i) * (n - i - w)
@@ -138,7 +138,7 @@ def test_criterion_3_induction_theorem(capsys):
             spaces = [(lam, b) for lam, b in spaces if b.dimension > 0]
             for lam, b in spaces:
                 for c in range(b.dimension):
-                    f = b.column_function(c)
+                    f = b.member([int(j == c) for j in range(b.dimension)])
                     assert induce_down_one(f).is_zero() == (lam == -w), (n, w, lam)
             for k in range(100):
                 lam, b = spaces[k % len(spaces)]

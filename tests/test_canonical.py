@@ -17,12 +17,9 @@ from johnson_eigen import (
     is_eigenfunction,
     match_canonical,
     support_size_bound,
-    vertex_from_elements,
 )
 
-from conftest import make_rng, reference_match_canonical
-
-V = vertex_from_elements
+from conftest import V, make_rng, reference_match_canonical
 
 
 def random_pairing(rng, n, i) -> PairingConfig:

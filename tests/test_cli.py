@@ -339,3 +339,43 @@ def test_boolean_fields_in_file_are_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error[BAD_FILE]" in err
+
+
+def _assert_cannot_write(code, out, err, path):
+    # these used to end in a FileNotFoundError or IsADirectoryError traceback with exit 1
+    assert code == 2 and out == ""
+    assert err.startswith(f"error[BAD_FILE] cannot write {path}: ")
+
+
+def _canonical_file(tmp_path, capsys) -> str:
+    path = str(tmp_path / "f.json")
+    assert invoke(capsys, ["canonical", "--n", "5", "--w", "2", "--i", "1", "--out", path])[0] == 0
+    return path
+
+
+def test_canonical_out_that_cannot_be_written_is_bad_file(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "f.json", tmp_path):
+        code, out, err = invoke(capsys, ["canonical", "--n", "5", "--w", "2", "--i", "1",
+                                         "--out", str(path)])
+        _assert_cannot_write(code, out, err, path)
+
+
+def test_induce_out_that_cannot_be_written_is_bad_file(tmp_path, capsys):
+    src = _canonical_file(tmp_path, capsys)
+    for path in (tmp_path / "missing" / "g.json", tmp_path):
+        code, out, err = invoke(capsys, ["induce", "--func", src, "--target-w", "3", "--out", str(path)])
+        _assert_cannot_write(code, out, err, path)
+
+
+def test_reduce_out_that_cannot_be_written_is_bad_file(tmp_path, capsys):
+    src = _canonical_file(tmp_path, capsys)
+    for path in (tmp_path / "missing" / "g.json", tmp_path):
+        code, out, err = invoke(capsys, ["reduce", "--func", src, "--j1", "0", "--j2", "1",
+                                         "--out", str(path)])
+        _assert_cannot_write(code, out, err, path)
+
+
+def test_table_csv_that_cannot_be_written_is_bad_file(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "t.csv", tmp_path):
+        code, out, err = invoke(capsys, ["table", "--max-n", "3", "--threads", "1", "--csv", str(path)])
+        _assert_cannot_write(code, out, err, path)

@@ -9,6 +9,7 @@ from johnson_eigen import (
     BasisCheckError,
     ExactMatrix,
     JohnsonParams,
+    ParameterError,
     adjacency_matrix,
     nullspace,
     rank,
@@ -34,15 +35,15 @@ def random_matrix(rng, rows, cols, integer=True):
 
 
 def test_rank_examples():
-    assert rank(ExactMatrix.identity(3)) == 3
-    assert rank(ExactMatrix.zeros(4, 2)) == 0
+    assert rank(ExactMatrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])) == 3
+    assert rank(ExactMatrix(4, 2, [0] * 8)) == 0
     m = shifted_adjacency(JohnsonParams(5, 2), 1)
     assert rank(m) == 6  # 10 vertices minus multiplicity 4 of lambda_1
 
 
 def test_nullspace_examples():
-    assert nullspace(ExactMatrix.identity(3)).cols == 0
-    assert nullspace(ExactMatrix.zeros(1, 3)).cols == 3
+    assert nullspace(ExactMatrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])).cols == 0
+    assert nullspace(ExactMatrix(1, 3, [0] * 3)).cols == 3
     m = shifted_adjacency(JohnsonParams(5, 2), -2)
     assert nullspace(m).cols == 5  # C(5,2) - C(5,1)
 
@@ -52,7 +53,7 @@ def test_nullspace_examples_are_annihilated():
     ns = nullspace(m)
     assert ns.cols == 4
     for c in range(ns.cols):
-        assert oracle_mat_vec(m, ns.column(c)) == [0] * m.rows
+        assert oracle_mat_vec(m, ns.data[c :: ns.cols]) == [0] * m.rows
 
 
 def test_rank_matches_oracle_on_random_matrices():
@@ -61,7 +62,7 @@ def test_rank_matches_oracle_on_random_matrices():
         rows = rng.randint(1, 7)
         cols = rng.randint(1, 7)
         m = random_matrix(rng, rows, cols, integer=(trial % 2 == 0))
-        assert rank(m) == oracle_rank(m.row_lists())
+        assert rank(m) == oracle_rank([m.row(r) for r in range(m.rows)])
 
 
 def test_nullspace_properties_random():
@@ -73,7 +74,7 @@ def test_nullspace_properties_random():
         ns = nullspace(m)
         assert ns.cols == cols - rank(m)
         for c in range(ns.cols):
-            assert oracle_mat_vec(m, ns.column(c)) == [0] * rows
+            assert oracle_mat_vec(m, ns.data[c :: ns.cols]) == [0] * rows
         if ns.cols:
             assert rank(ns) == ns.cols  # columns independent
 
@@ -105,7 +106,7 @@ def test_nullspace_is_canonical_reduced_form():
         ns = nullspace(m)
         free = []
         for c in range(ns.cols):
-            col = ns.column(c)
+            col = ns.data[c :: ns.cols]
             ones = [j for j, x in enumerate(col) if x == 1]
             assert ones, "free position must carry 1"
             free.append(col)
@@ -122,12 +123,13 @@ def test_rref_preserves_row_space_membership():
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         r = rank(m)
         ns = nullspace(m)
-        stacked = ExactMatrix.from_rows(m.row_lists() + [ns.column(c) for c in range(ns.cols)])
+        kernel_rows = [x for c in range(ns.cols) for x in ns.data[c :: ns.cols]]
+        stacked = ExactMatrix(m.rows + ns.cols, m.cols, m.data + kernel_rows)
         assert rank(stacked) == r + ns.cols  # kernel vectors extend the row space fully
 
 
 def test_integer_rows_scale_by_the_lcm_of_all_denominators():
-    m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 3)], [4, 0]])
+    m = ExactMatrix(2, 2, [Fraction(1, 2), Fraction(-1, 3), 4, 0])
     assert m.integer_rows() == [(3, -2), (24, 0)]
     assert ExactMatrix(0, 3, []).integer_rows() == []
 
@@ -142,7 +144,7 @@ def _assert_engine_matches_oracle(ech, pushed, width):
     assert len(kern) == ns.cols
     free = [c for c in range(width) if c not in set(ech.pivots)]
     for k, fc in enumerate(free):
-        col = ns.column(k)
+        col = ns.data[k :: ns.cols]
         assert col[fc] == 1
         # proportional to the canonical column, with a positive free entry
         assert [Fraction(x, kern[k][fc]) for x in kern[k]] == col
@@ -170,14 +172,14 @@ def test_echelon_pushes_match_oracle():
 
 def test_empty_shapes():
     assert rank(ExactMatrix(0, 3, [])) == 0
-    assert nullspace(ExactMatrix(0, 3, [])) == ExactMatrix.identity(3)
+    assert nullspace(ExactMatrix(0, 3, [])) == ExactMatrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])
     assert nullspace(ExactMatrix(2, 0, [])) == ExactMatrix(0, 0, [])
 
 
 def _kernel_rows(k):
     """The columns of k as integer rows, each scaled by a different nonzero factor."""
     return [[int(x * math.lcm(*(y.denominator for y in col))) * (-1) ** c * (c + 1) for x in col]
-            for c, col in enumerate(k.column(c) for c in range(k.cols))]
+            for c, col in enumerate(k.data[c :: k.cols] for c in range(k.cols))]
 
 
 def test_span_basis_equals_nullspace_of_any_matrix_with_that_kernel():
@@ -201,3 +203,24 @@ def test_span_basis_raises_when_the_rows_lose_rank():
         span_basis(gens, 10, 5)
     with pytest.raises(BasisCheckError):
         span_basis(gens + [gens[0]], 10, 6)
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/3", True, None])
+def test_matrix_rejects_an_entry_that_is_not_int_or_fraction(entry):
+    # 0.5, "1/3" and True used to be stored quietly as 1/2, 1/3 and 1
+    with pytest.raises(ParameterError, match="is not an int or Fraction"):
+        ExactMatrix(1, 1, [entry])
+
+
+@pytest.mark.parametrize("rows, cols", [(2.0, 2), (2, 2.0), (True, 1), ("2", 2), (-1, 0)])
+def test_matrix_rejects_a_shape_that_is_not_two_ints(rows, cols):
+    # ExactMatrix(2.0, 2, ...) used to be accepted, with rows == 2.0
+    with pytest.raises(ParameterError, match="is not two nonnegative ints"):
+        ExactMatrix(rows, cols, [1] * 4)
+
+
+def test_matrix_shares_fraction_entries_and_converts_ints():
+    half = Fraction(1, 2)
+    m = ExactMatrix(1, 2, [half, 3])
+    assert m.data[0] is half
+    assert type(m.data[1]) is Fraction and m.data[1] == 3

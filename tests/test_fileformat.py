@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from johnson_eigen import FunctionFileError, JohnsonParams, SparseFunction, vertex_from_elements
+from johnson_eigen import FunctionFileError, JohnsonParams, SparseFunction
 from johnson_eigen.fileformat import (
     document_to_function,
     dumps_document,
@@ -18,9 +19,7 @@ from johnson_eigen.fileformat import (
     write_function,
 )
 
-from conftest import make_rng, random_rational
-
-V = vertex_from_elements
+from conftest import V, make_rng, random_rational
 
 
 def test_rational_strings():
@@ -68,6 +67,13 @@ def test_write_is_canonical_and_sorted(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["entries"] == [[0, "1/2"], [9, "1"]]
     assert path.read_text() == dumps_document(function_to_document(f, 1))
+
+
+def test_writer_raises_a_file_error_when_it_cannot_write(tmp_path):
+    f = SparseFunction(JohnsonParams(5, 2), {V([0, 1]): 1})
+    for path in (tmp_path / "missing" / "f.json", tmp_path):
+        with pytest.raises(FunctionFileError, match="^" + re.escape(f"cannot write {path}: ")):
+            write_function(str(path), f)
 
 
 @pytest.mark.parametrize(

@@ -24,13 +24,13 @@ from johnson_eigen import (
     neighbors,
     read_function,
     reduce,
-    vertex_from_elements,
     write_function,
 )
 from johnson_eigen.canonical import pairing_values
 from johnson_eigen.johnson import adjacency_sums
 
 from conftest import (
+    V,
     dense_adjacency_by_definition,
     make_rng,
     random_member,
@@ -40,8 +40,6 @@ from conftest import (
     reference_induce_down_one,
     reference_reduce,
 )
-
-V = vertex_from_elements
 
 
 def test_params_validation():
@@ -53,6 +51,13 @@ def test_params_validation():
         JohnsonParams(65, 1)
     with pytest.raises(ParameterError):
         JohnsonParams(-1, 0)
+
+
+@pytest.mark.parametrize("n, w", [(True, True), (5.0, 2), ("5", 2), (5, 2.0), (5, False)])
+def test_params_require_ints(n, w):
+    # J(1,1) used to be built from (True, True); 5.0 and "5" ended in a bare TypeError
+    with pytest.raises(ParameterError, match="n and w must be ints"):
+        JohnsonParams(n, w)
 
 
 def test_adjacent_examples():

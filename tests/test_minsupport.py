@@ -148,9 +148,9 @@ def test_bnb_budget_exhaustion_flagged():
 @pytest.mark.parametrize("column", ["zero", "repeated"])
 def test_searches_reject_basis_without_full_column_rank(column):
     space = eigenspace_basis(JohnsonParams(5, 2), 1)
-    rows = space.basis.row_lists()
-    basis = ExactMatrix.from_rows([row + [0 if column == "zero" else row[0]] for row in rows])
-    bad = EigenspaceBasis(space.params, space.i, space.lam, basis)
+    b = space.basis
+    flat = [x for r in range(b.rows) for x in b.row(r) + [0 if column == "zero" else b.row(r)[0]]]
+    bad = EigenspaceBasis(space.params, space.i, space.lam, ExactMatrix(b.rows, b.cols + 1, flat))
     with pytest.raises(ParameterError, match="rank 4, below its 5 columns"):
         min_support_bnb(bad)
     with pytest.raises(ParameterError, match="rank 4, below its 5 columns"):
@@ -160,7 +160,7 @@ def test_searches_reject_basis_without_full_column_rank(column):
 @pytest.mark.parametrize("search", [min_support_bnb, min_support_hyperplane])
 def test_searches_reject_basis_without_one_row_per_vertex(search):
     # 8 rows for the 6 vertices of J(4,2) used to give min support 2 with a witness of support 1
-    rows = ExactMatrix.from_rows([[1], [0], [0], [0], [0], [0], [0], [1]])
+    rows = ExactMatrix(8, 1, [1, 0, 0, 0, 0, 0, 0, 1])
     with pytest.raises(ParameterError, match="basis has 8 rows for 6 vertices"):
         search(EigenspaceBasis(JohnsonParams(4, 2), 1, 0, rows))
 
@@ -370,6 +370,58 @@ def test_witness_cap_below_one_rejected():
             verify_bound(JohnsonParams(5, 2), 2, witness_cap=cap)
 
 
+@pytest.mark.parametrize("cap", [2.5, True, "3"])
+def test_witness_cap_must_be_an_int(cap):
+    # 2.5 used to end in a bare TypeError, and True ran as a cap of 1
+    space = eigenspace_basis(JohnsonParams(5, 2), 2)
+    message = f"^witness_cap must be an int, got {cap!r}$"
+    for search in (min_support_bnb, min_support_hyperplane):
+        with pytest.raises(ParameterError, match=message):
+            search(space, witness_cap=cap)
+    with pytest.raises(ParameterError, match=message):
+        verify_bound(JohnsonParams(5, 2), 2, witness_cap=cap)
+
+
+@pytest.mark.parametrize("budget", [True, 10.5, "10"])
+def test_node_budget_must_be_an_int(budget):
+    # True and 10.5 used to be accepted as budgets
+    message = f"^node_budget must be an int, got {budget!r}$"
+    with pytest.raises(ParameterError, match=message):
+        min_support_bnb(eigenspace_basis(JohnsonParams(5, 2), 2), node_budget=budget)
+    with pytest.raises(ParameterError, match=message):
+        verify_bound(JohnsonParams(5, 2), 2, node_budget=budget)
+
+
+@pytest.mark.parametrize("budget", ["9", 9.0, True])
+def test_subset_budget_must_be_an_int(budget):
+    # "9" used to end in a bare TypeError
+    message = f"^subset_budget must be an int, got {budget!r}$"
+    with pytest.raises(ParameterError, match=message):
+        min_support_hyperplane(eigenspace_basis(JohnsonParams(5, 2), 2), subset_budget=budget)
+    with pytest.raises(ParameterError, match=message):
+        verify_bound(JohnsonParams(5, 2), 2, subset_budget=budget)
+
+
+@pytest.mark.parametrize("workers", [1.5, True, "2"])
+def test_workers_must_be_an_int(workers):
+    with pytest.raises(ParameterError, match=f"^workers must be an int, got {workers!r}$"):
+        min_support_hyperplane(eigenspace_basis(JohnsonParams(5, 2), 2), workers=workers)
+
+
+@pytest.mark.parametrize("hint", [3.5, True, "4"])
+def test_bnb_hint_must_be_an_int(hint):
+    # 3.5 used to raise a misleading "below the minimum support"
+    with pytest.raises(ParameterError, match=f"^upper_bound_hint must be an int, got {hint!r}$"):
+        min_support_bnb(eigenspace_basis(JohnsonParams(5, 2), 2), upper_bound_hint=hint)
+
+
+@pytest.mark.parametrize("i", [1.0, True])
+def test_verify_bound_index_must_be_an_int(i):
+    # verify_bound(p, True) used to run as index 1
+    with pytest.raises(ParameterError, match="is not an int in"):
+        verify_bound(JohnsonParams(5, 2), i)
+
+
 def test_pool_counters_pinned():
     # offers from both oracles, and the distinct kernel normals among them that were valued
     report = verify_bound(JohnsonParams(6, 3), 1)
@@ -390,7 +442,7 @@ def _pool_cases(draw):
     # each offer is a scaled, possibly negated, copy of one of a few vectors
     offer = st.tuples(st.integers(0, 4), st.sampled_from(normals), st.integers(-3, 3).filter(bool))
     stream = [(support, tuple(k * x for x in c)) for support, c, k in draw(st.lists(offer, max_size=40))]
-    return ExactMatrix.from_rows(rows), stream, draw(st.integers(1, 20))
+    return ExactMatrix(nrows, d, [x for row in rows for x in row]), stream, draw(st.integers(1, 20))
 
 
 @settings(max_examples=300, deadline=None)
@@ -402,7 +454,7 @@ def test_integer_pool_matches_fraction_valuation(case):
     stats, ref_stats = SearchStats(), SearchStats()
     pool = _WitnessPool(basis, cap, stats)
     ref = ReferenceWitnessPool(cap, ref_stats)
-    fraction_rows = basis.row_lists()
+    fraction_rows = [basis.row(r) for r in range(basis.rows)]
     for support, coeff in stream:
         pool.offer(support, [sum(x * c for x, c in zip(row, coeff)) for row in pool.rows])
         ref.offer(support, reference_values(fraction_rows, coeff))
@@ -576,8 +628,8 @@ def _kernel_values(rows, forced):
     """The value vectors of a basis of the kernel of the forced rows."""
     if not forced:
         return [list(col) for col in zip(*rows)]
-    kernel = nullspace(ExactMatrix.from_rows(forced))
-    return [reference_values(rows, kernel.column(c)) for c in range(kernel.cols)]
+    kernel = nullspace(ExactMatrix(len(forced), len(rows[0]), [x for row in forced for x in row]))
+    return [reference_values(rows, kernel.data[c :: kernel.cols]) for c in range(kernel.cols)]
 
 
 @st.composite
@@ -687,7 +739,7 @@ def _generic_subspaces(draw):
     ))
     assume(oracle_rank(rows) == d)
     # the search reads only the basis; index and eigenvalue are labels here
-    return EigenspaceBasis(params, 1, 0, ExactMatrix.from_rows(rows))
+    return EigenspaceBasis(params, 1, 0, ExactMatrix(params.num_vertices, d, [x for row in rows for x in row]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -24,12 +24,12 @@ from johnson_eigen import (
     reduce,
     spectrum,
     survivor_coordinates,
-    vertex_from_elements,
     zero_pair,
 )
 from johnson_eigen.operators import swap_maps_to
 
 from conftest import (
+    V,
     block_symmetrized_function,
     make_rng,
     random_member,
@@ -38,8 +38,6 @@ from conftest import (
     reference_induce_down_one,
     reference_reduce,
 )
-
-V = vertex_from_elements
 
 
 def canonical(n, w, i, pairs=None):
@@ -279,7 +277,7 @@ def test_induced_eigenvalue_shift_theorem():
             for e in spectrum(p):
                 basis = eigenspace_basis(p, e.i)
                 for c in range(basis.dimension):
-                    f = basis.column_function(c)
+                    f = basis.member([int(j == c) for j in range(basis.dimension)])
                     for w in range(i, n + 1):
                         g = induce(f, w)
                         assert is_eigenfunction(g, e.lam + (w - i) * (n - i - w)).holds

@@ -30,12 +30,9 @@ from johnson_eigen import (
     spectrum,
     exact_linalg,
     spectral,
-    vertex_from_elements,
 )
 
-from conftest import make_rng, oracle_mat_vec, reference_is_eigenfunction
-
-V = vertex_from_elements
+from conftest import V, make_rng, oracle_mat_vec, reference_is_eigenfunction
 
 
 def test_spectrum_examples():
@@ -60,7 +57,7 @@ def test_eigenspace_basis_examples():
     assert eigenspace_basis(JohnsonParams(5, 2), 2).dimension == 5
     b = eigenspace_basis(JohnsonParams(4, 2), 0)
     assert b.dimension == 1
-    col = b.column_function(0)
+    col = b.member([1])
     vals = set(col.entries.values())
     assert col.support_size == 6 and len(vals) == 1  # proportional to all-ones
     assert eigenspace_basis(JohnsonParams(6, 3), 1).dimension == 5
@@ -73,7 +70,7 @@ def test_eigenspace_basis_columns_are_eigenfunctions():
             for e in spectrum(p):
                 basis = eigenspace_basis(p, e.i)
                 for j in range(basis.dimension):
-                    f = basis.column_function(j)
+                    f = basis.member([int(k == j) for k in range(basis.dimension)])
                     verdict = is_eigenfunction(f, e.lam)
                     assert verdict.holds and not verdict.is_zero
 
@@ -103,6 +100,15 @@ def test_eigenvalue_index_lookup():
         eigenvalue_index(JohnsonParams(4, 3), -3)
 
 
+@pytest.mark.parametrize("i", [1.0, True, "1"])
+def test_eigenvalue_index_must_be_an_int(i):
+    # eigenspace_basis(p, 1.0) and (p, True) used to run as index 1
+    p = JohnsonParams(5, 2)
+    for call in (eigenvalue, eigenspace_dimension, eigenspace_basis):
+        with pytest.raises(ParameterError, match=r"is not an int in 0\.\.2"):
+            call(p, i)
+
+
 def test_size_budget_enforced():
     # the fixed cap of 300 vertices at its edge: J(10,5) has 252, J(11,4) 330
     assert eigenspace_basis(JohnsonParams(10, 5), 1).basis.rows == 252
@@ -127,10 +133,10 @@ def test_eigenspace_dimension_matches_the_built_basis():
 
 def test_eigenspace_basis_needs_one_row_per_vertex():
     p = JohnsonParams(4, 2)
-    EigenspaceBasis(p, 1, 0, ExactMatrix.from_rows([[1]] * 6))
+    EigenspaceBasis(p, 1, 0, ExactMatrix(6, 1, [1] * 6))
     for nrows in (5, 8):
         with pytest.raises(ParameterError, match=f"basis has {nrows} rows for 6 vertices"):
-            EigenspaceBasis(p, 1, 0, ExactMatrix.from_rows([[1]] * nrows))
+            EigenspaceBasis(p, 1, 0, ExactMatrix(nrows, 1, [1] * nrows))
 
 
 def test_is_eigenfunction_examples():
@@ -231,7 +237,7 @@ def test_basis_columns_satisfy_matrix_equation():
     for e in spectrum(p):
         basis = eigenspace_basis(p, e.i)
         for c in range(basis.dimension):
-            col = basis.basis.column(c)
+            col = basis.basis.data[c :: basis.dimension]
             av = oracle_mat_vec(a, col)
             assert av == [e.lam * x for x in col]
 
