@@ -48,6 +48,8 @@ class PairingConfig:
 
 def default_pairing(i: int) -> PairingConfig:
     """The reproducible default (0,1),(2,3),...,(2i-2,2i-1)."""
+    if not is_int(i):
+        raise ParameterError(f"pairing size must be an int, got {i!r}")
     return PairingConfig(tuple((2 * k, 2 * k + 1) for k in range(i)))
 
 
@@ -57,8 +59,8 @@ def support_size_bound(n: int, w: int, i: int) -> int:
     Zero exactly when no canonical function fits, i.e. when w-i > n-2i
     (including n < 2i, where no i disjoint pairs exist at all).
     """
-    if not 0 <= i <= w <= n:
-        raise ParameterError(f"need 0 <= i <= w <= n, got n={n}, w={w}, i={i}")
+    if not (all(map(is_int, (n, w, i))) and 0 <= i <= w <= n):
+        raise ParameterError(f"need ints 0 <= i <= w <= n, got n={n!r}, w={w!r}, i={i!r}")
     if n - 2 * i < 0:
         return 0
     return (1 << i) * binomial(n - 2 * i, w - i)
@@ -127,8 +129,8 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
     n, w = params.n, params.w
     if f.is_zero():
         raise ParameterError("match_canonical requires a nonzero function")
-    if not 0 <= i <= w:
-        raise ParameterError(f"index {i} out of range 0..{w}")
+    if not (is_int(i) and 0 <= i <= w):
+        raise ParameterError(f"index {i!r} is not an int in 0..{w}")
     if f.support_size != support_size_bound(n, w, i):
         return None
 

@@ -244,6 +244,8 @@ def cmd_minsupport(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.csv:
+        write_text(args.csv, "")  # an unwritable path fails before the sweep
     max_w = args.max_w if args.max_w is not None else args.max_n
     rows = []
     for n in range(1, args.max_n + 1):

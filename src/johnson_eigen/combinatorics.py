@@ -3,7 +3,9 @@
 Vertices of J(n,w) are represented throughout the package as plain int
 bitmasks over coordinates 0..n-1 (bit j set means coordinate j is a one).
 The co-lex rank of a subset is computable without knowing n, which is why
-this order is used both in memory and on disk.
+this order is used both in memory and on disk. Among subsets of one size it
+is numeric bitmask order, as both are decided by the largest element in
+which two subsets differ; so sorting vertices needs no rank_subset.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ MAX_COORDS = 64
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k < 0 or k > n. Requires n >= 0."""
-    if n < 0:
-        raise ParameterError(f"binomial requires n >= 0, got n={n}")
+    """C(n, k); zero when k < 0 or k > n. Requires ints n >= 0 and k."""
+    if not (is_int(n) and is_int(k) and n >= 0):
+        raise ParameterError(f"binomial requires ints n >= 0 and k, got n={n!r}, k={k!r}")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -52,6 +54,8 @@ def rank_subset(mask: int) -> int:
 
 def unrank_subset(r: int, n: int, w: int) -> int:
     """Inverse of rank_subset on J(n,w); returns the vertex bitmask of co-lex rank r."""
+    if not all(map(is_int, (r, n, w))):
+        raise ParameterError(f"rank, n and w must be ints, got {r!r}, {n!r}, {w!r}")
     if n > MAX_COORDS:
         raise ParameterError(f"n={n} exceeds the {MAX_COORDS}-coordinate limit")
     if not 0 <= w <= n:

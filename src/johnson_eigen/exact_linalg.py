@@ -1,9 +1,11 @@
 """Exact dense linear algebra over rationals: rank and canonical nullspace.
 
-IntEchelon is the package's one elimination engine: a fraction-free
-(Bareiss-style) row echelon over integer rows, which the minimum-support
-witness pool also uses for its rank check. A rational matrix enters it
-through integer_rows, which scales every row by the lcm of all its
+combine is the package's one elimination step, the cross-multiplication of
+two integer vectors that clears one entry; the minimum-support searches use
+it on their kernel columns. IntEchelon is its one elimination engine: a
+fraction-free (Bareiss-style) row echelon over integer rows built from
+combine, whose reduced() is the canonical reduced form. A rational matrix
+enters it through integer_rows, which scales every row by the lcm of all its
 denominators; scaling a row leaves its row space alone, so rank and kernel
 are those of the rational matrix. Kernel bases are canonical and
 reproducible bit for bit: the vector for free column c is zero at every
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from collections.abc import Sequence
+from operator import add, neg, sub
 
 from .errors import BasisCheckError, ParameterError, check_rational, is_int
 
@@ -59,6 +62,27 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
+def combine(col: Sequence[int], pivot: Sequence[int], r: int) -> list[int]:
+    """col combined with pivot so that it vanishes at row r, divided by its gcd.
+
+    With a0 = pivot[r] != 0, a = col[r] != 0 and g = gcd(a0, a) this is
+    (a0/g) col - (a/g) pivot, which is zero exactly when col and pivot are
+    dependent. When |a| = |a0| both multipliers are 1 or -1, and the
+    combination is a sum or a difference, made without a multiply.
+    """
+    a0, a = pivot[r], col[r]
+    if a == a0:
+        new = list(map(sub, col, pivot) if a0 > 0 else map(sub, pivot, col))
+    elif a == -a0:
+        new = list(map(add, col, pivot) if a0 > 0 else map(neg, map(add, col, pivot)))
+    else:
+        g = math.gcd(a0, a)
+        p, q = a0 // g, a // g
+        new = [p * x - q * y for x, y in zip(col, pivot)]
+    g = math.gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
 class IntEchelon:
     """Incremental exact echelon over integer rows.
 
@@ -81,80 +105,33 @@ class IntEchelon:
         return len(self.rows)
 
     def reduce(self, row) -> tuple[int, ...]:
-        """Reduce a row against the stored rows; () means dependent.
-
-        Each cross-multiplication first divides its two multipliers by their
-        gcd, which slows entry growth on wide rows; that and the content
-        division at the end are positive rescalings, so the reduced row is
-        the same as with plain cross-multiplication.
-        """
-        cur = list(row)
-        for stored, p in zip(self.rows, self.pivots):
-            f = cur[p]
-            if f:
-                sp = stored[p]
-                g = math.gcd(sp, f)
-                sp //= g
-                f //= g
-                cur = [sp * a - f * b for a, b in zip(cur, stored)]
-        g = 0
-        for x in cur:
-            if x:
-                g = math.gcd(g, x)
-                if g == 1:
-                    break
-        if g == 0:
+        """Reduce a row against the stored rows: its content divided out, then one
+        combine at each stored pivot where it is nonzero. () means dependent."""
+        g = math.gcd(*row)
+        if not g:
             return ()
-        if g > 1:
-            cur = [x // g for x in cur]
-        return tuple(cur)
+        cur = [x // g for x in row] if g > 1 else row
+        for stored, p in zip(self.rows, self.pivots):
+            if cur[p]:
+                cur = combine(cur, stored, p)
+        return tuple(cur) if any(cur) else ()
 
     def push(self, reduced: tuple[int, ...]) -> None:
         p = next(j for j, x in enumerate(reduced) if x)
         self.rows.append(reduced)
         self.pivots.append(p)
 
-    def kernel(self) -> list[tuple[int, ...]]:
-        """Canonical kernel basis of the stored rows, one vector per free column.
+    def reduced(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The reduced echelon form: (pivot, row) pairs sorted by pivot, each
+        row zero at every other pivot.
 
-        In increasing free-column order; each vector is coprime integers,
-        positive at its own free column and zero at every other one.
-        Sorted by pivot the stored rows are an echelon form, solved by
-        fraction-free back-substitution: the vector for free column fc is
-        zero at pivots beyond fc, and scaling it by the product of the
-        pivots before fc makes every division exact (Cramer's rule on the
-        triangular system).
+        One fraction-free Gauss-Jordan pass: the stored rows are reduced
+        again, last first, against those already cleared. A row stored later
+        is zero at every earlier pivot and left of its own, so clearing it
+        from an earlier row keeps that row's pivot.
         """
-        order = sorted(range(len(self.rows)), key=self.pivots.__getitem__)
-        rows = [self.rows[k] for k in order]
-        piv_cols = [self.pivots[k] for k in order]
-        piv_set = set(piv_cols)
-        out = []
-        for fc in range(self.width):
-            if fc in piv_set:
-                continue
-            engaged = sum(1 for p in piv_cols if p < fc)
-            scale = math.prod(rows[i][piv_cols[i]] for i in range(engaged))
-            values = {fc: scale}
-            for i in reversed(range(engaged)):
-                row = rows[i]
-                s = row[fc] * scale
-                for j in range(i + 1, engaged):
-                    x = row[piv_cols[j]]
-                    if x:
-                        s += x * values[piv_cols[j]]
-                q, rem = divmod(-s, row[piv_cols[i]])
-                if rem:
-                    raise ArithmeticError("fraction-free back-substitution lost exactness")
-                values[piv_cols[i]] = q
-            g = math.gcd(*values.values())
-            if scale < 0:
-                g = -g
-            vec = [0] * self.width
-            for pos, val in values.items():
-                vec[pos] = val // g
-            out.append(tuple(vec))
-        return out
+        jordan = IntEchelon(self.width, reversed(self.rows))
+        return sorted(zip(jordan.pivots, jordan.rows))
 
 
 def rank(m: ExactMatrix) -> int:
@@ -163,14 +140,19 @@ def rank(m: ExactMatrix) -> int:
 
 
 def nullspace(m: ExactMatrix) -> ExactMatrix:
-    """Canonical exact basis of {v : m @ v = 0}, one column per free column of the RREF."""
+    """Canonical exact basis of {v : m @ v = 0}, one column per free column fc of the
+    RREF: 1 at fc, 0 at every other free column and -row[fc] / row[p] at each pivot p."""
     nc = m.cols
-    ech = IntEchelon(nc, m.integer_rows())
-    piv_set = set(ech.pivots)
+    reduced = IntEchelon(nc, m.integer_rows()).reduced()
+    piv_set = {p for p, _ in reduced}
     free = [c for c in range(nc) if c not in piv_set]
-    columns = [[Fraction(x, vec[fc]) for x in vec] for fc, vec in zip(free, ech.kernel())]
-    d = len(columns)
-    flat = [columns[j][i] for i in range(nc) for j in range(d)]
+    d = len(free)
+    flat = [Fraction(0)] * (nc * d)
+    for j, fc in enumerate(free):
+        flat[fc * d + j] = Fraction(1)
+        for p, row in reduced:
+            if row[fc]:
+                flat[p * d + j] = Fraction(-row[fc], row[p])
     return ExactMatrix(nc, d, flat)
 
 
@@ -182,23 +164,16 @@ def span_basis(rows: Sequence[Sequence[int]], width: int, rank: int) -> ExactMat
     kernel vector of each free column c of the RREF, 1 at c and 0 at every
     other free column. Column c is free exactly when some v in E has its
     last nonzero entry at c, so the free columns are the pivots of E's rows
-    with the coordinate order reversed. One fraction-free Gauss-Jordan pass
-    over the reversed rows (reduce them, then reduce the stored rows again,
-    last first, against those already cleared) leaves each row zero at every
-    other pivot; divided by its pivot entry it is the vector of that free
-    column.
+    with the coordinate order reversed. In the reduced form of the reversed
+    rows each row is zero at every other pivot; divided by its pivot entry
+    it is the vector of that free column.
     """
     ech = IntEchelon(width, (row[::-1] for row in rows))
     if ech.rank != rank:
         raise BasisCheckError(f"rows span a space of dimension {ech.rank}, expected {rank}")
-    # A row stored later is zero at every earlier pivot and left of its own,
-    # so clearing it from an earlier row keeps that row's pivot.
-    jordan = IntEchelon(width, reversed(ech.rows))
-    order = sorted(range(rank), key=jordan.pivots.__getitem__, reverse=True)
     flat = [Fraction(0)] * (width * rank)
-    for c, k in enumerate(order):
-        row = jordan.rows[k]
-        piv = row[jordan.pivots[k]]
+    for c, (p, row) in enumerate(reversed(ech.reduced())):
+        piv = row[p]
         for q, x in enumerate(row):
             if x:
                 flat[(width - 1 - q) * rank + c] = Fraction(x, piv)

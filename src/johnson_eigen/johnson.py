@@ -16,7 +16,7 @@ from fractions import Fraction
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 
-from .combinatorics import MAX_COORDS, rank_subset, vertices_in_rank_order
+from .combinatorics import MAX_COORDS, vertices_in_rank_order
 from .errors import ParameterError, ParamsMismatchError, check_rational, is_int
 
 Rational = Fraction | int
@@ -127,8 +127,8 @@ class SparseFunction:
 
     @property
     def support(self) -> list[int]:
-        """Support vertices in rank order."""
-        return sorted(self.nums, key=rank_subset)
+        """Support vertices in rank order, which is numeric bitmask order."""
+        return sorted(self.nums)
 
     @property
     def support_size(self) -> int:

@@ -43,11 +43,10 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
-from operator import add, neg, sub
 
 from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError, is_int
-from .exact_linalg import IntEchelon
+from .exact_linalg import IntEchelon, combine
 from .johnson import JohnsonParams, SparseFunction
 from .spectral import EigenspaceBasis, eigenspace_basis, is_eigenfunction
 
@@ -117,33 +116,11 @@ def _normal(values) -> tuple[int, ...]:
     return tuple(values) if g == 1 else tuple(x // g for x in values)
 
 
-def _combine(col: list[int], pivot: list[int], r: int) -> list[int]:
-    """col combined with pivot so that it vanishes at row r, divided by its gcd.
-
-    With a0 = pivot[r] != 0, a = col[r] != 0 and g = gcd(a0, a) this is
-    (a0/g) col - (a/g) pivot. It is not zero when col and pivot are the value
-    vectors of independent members, as the rows have full column rank. When
-    |a| = |a0| both multipliers are 1 or -1, and the combination is a sum or a
-    difference, made without a multiply.
-    """
-    a0, a = pivot[r], col[r]
-    if a == a0:
-        new = list(map(sub, col, pivot) if a0 > 0 else map(sub, pivot, col))
-    elif a == -a0:
-        new = list(map(add, col, pivot) if a0 > 0 else map(neg, map(add, col, pivot)))
-    else:
-        g = math.gcd(a0, a)
-        p, q = a0 // g, a // g
-        new = [p * x - q * y for x, y in zip(col, pivot)]
-    g = math.gcd(*new)
-    return [x // g for x in new] if g > 1 else new
-
-
 def _project(cols: list[list[int]], r: int, stats: SearchStats) -> list[list[int]] | None:
     """The projected columns once row r is forced to zero; None if r is dependent.
 
     The first column j0 nonzero at r is dropped, and every other column
-    nonzero at r is combined with it (_combine). These are the value vectors
+    nonzero at r is combined with it (combine). These are the value vectors
     of a basis of the smaller kernel; a column already zero at r is shared,
     not copied.
     """
@@ -158,7 +135,7 @@ def _project(cols: list[list[int]], r: int, stats: SearchStats) -> list[list[int
             out.append(col)
         elif j != j0:
             stats.eliminations += 1
-            out.append(_combine(col, pivot, r))
+            out.append(combine(col, pivot, r))
     return out
 
 
@@ -169,7 +146,7 @@ def _settle(
 
     The lead of col is its first nonzero row from start on, or N if it has
     none. While that row is the lead of a column of cols, col is combined
-    with that column (_combine), so that it vanishes there and its lead moves
+    with that column (combine), so that it vanishes there and its lead moves
     down. Then it goes in at its lead. The span is unchanged.
     """
     nverts = len(col)
@@ -181,7 +158,7 @@ def _settle(
         if r == nverts or j == len(leads) or leads[j] != r:
             break
         stats.eliminations += 1
-        col = _combine(col, cols[j], r)
+        col = combine(col, cols[j], r)
     cols.insert(j, col)
     leads.insert(j, r)
 

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, SizeBudgetError
+from .errors import ParameterError, SizeBudgetError, is_int
 from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, down_sums
 
 
@@ -26,8 +26,8 @@ def induce(f: SparseFunction, target_w: int) -> SparseFunction:
     |supp f| * C(n-i, w-i) terms would exceed MAX_OUTPUT_TERMS.
     """
     n, i = f.params.n, f.params.w
-    if target_w < i:
-        raise ParameterError(f"upward induction needs target weight >= {i}, got {target_w}")
+    if not (is_int(target_w) and target_w >= i):
+        raise ParameterError(f"upward induction needs an int target weight >= {i}, got {target_w!r}")
     if target_w > n:
         raise ParameterError(f"target weight {target_w} exceeds n={n}")
     extra = target_w - i
@@ -86,11 +86,11 @@ def _check_reduction_coords(params: JohnsonParams, j1: int, j2: int) -> None:
         raise ParameterError(f"cannot reduce J({params.n},{params.w})")
     if params.w == params.n:
         raise ParameterError(f"reduction target J({params.n - 2},{params.w - 1}) does not exist")
+    for j in (j1, j2):
+        if not (is_int(j) and 0 <= j < params.n):
+            raise ParameterError(f"coordinate {j!r} is not an int in 0..{params.n - 1}")
     if j1 == j2:
         raise ParameterError("reduction needs two distinct coordinates")
-    for j in (j1, j2):
-        if not 0 <= j < params.n:
-            raise ParameterError(f"coordinate {j} out of range 0..{params.n - 1}")
 
 
 def iterated_reduce(f: SparseFunction, pairs) -> SparseFunction:

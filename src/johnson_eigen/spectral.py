@@ -201,5 +201,5 @@ def is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:
         return EigenVerdict(holds=True, is_zero=True)
     failing = _failing_vertices(f.nums, f.params.n, lam)
     if failing:
-        return EigenVerdict(holds=False, is_zero=False, certificate=min(failing, key=rank_subset))
+        return EigenVerdict(holds=False, is_zero=False, certificate=min(failing))
     return EigenVerdict(holds=True, is_zero=False)

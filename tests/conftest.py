@@ -363,6 +363,49 @@ class ReferenceWitnessPool:
 
 # -- the elimination-driven searches, kept as oracles for the projected ones ---
 
+def reference_kernel(ech: IntEchelon) -> list[tuple[int, ...]]:
+    """Canonical kernel basis of the stored rows of ech, one vector per free column.
+
+    In increasing free-column order; each vector is coprime integers,
+    positive at its own free column and zero at every other one.
+    Sorted by pivot the stored rows are an echelon form, solved by
+    fraction-free back-substitution: the vector for free column fc is
+    zero at pivots beyond fc, and scaling it by the product of the
+    pivots before fc makes every division exact (Cramer's rule on the
+    triangular system). An algorithm independent of IntEchelon.reduced.
+    """
+    order = sorted(range(len(ech.rows)), key=ech.pivots.__getitem__)
+    rows = [ech.rows[k] for k in order]
+    piv_cols = [ech.pivots[k] for k in order]
+    piv_set = set(piv_cols)
+    out = []
+    for fc in range(ech.width):
+        if fc in piv_set:
+            continue
+        engaged = sum(1 for p in piv_cols if p < fc)
+        scale = math.prod(rows[i][piv_cols[i]] for i in range(engaged))
+        values = {fc: scale}
+        for i in reversed(range(engaged)):
+            row = rows[i]
+            s = row[fc] * scale
+            for j in range(i + 1, engaged):
+                x = row[piv_cols[j]]
+                if x:
+                    s += x * values[piv_cols[j]]
+            q, rem = divmod(-s, row[piv_cols[i]])
+            if rem:
+                raise ArithmeticError("fraction-free back-substitution lost exactness")
+            values[piv_cols[i]] = q
+        g = math.gcd(*values.values())
+        if scale < 0:
+            g = -g
+        vec = [0] * ech.width
+        for pos, val in values.items():
+            vec[pos] = val // g
+        out.append(tuple(vec))
+    return out
+
+
 class _PushPopEchelon(IntEchelon):
     """IntEchelon with the pop the reference branch and bound backtracks with."""
 
@@ -401,7 +444,7 @@ def reference_min_support_bnb(space, node_budget=5_000_000, witness_cap=16, uppe
         if len(frees) > limit:
             return
         if ech.rank == d - 1:
-            c = ech.kernel()[0]
+            c = reference_kernel(ech)[0]
             if any(_int_dot(rows[r], c) == 0 for r in frees):
                 return
             support = sum(1 for r in range(nverts) if _int_dot(rows[r], c) != 0)
@@ -455,7 +498,7 @@ def reference_hyperplane_scan(rows, nverts, d):
         ech = IntEchelon(d, map(rows.__getitem__, subset))
         if ech.rank != d - 1:
             continue
-        c = ech.kernel()[0]
+        c = reference_kernel(ech)[0]
         support = sum(1 for r in range(nverts) if _int_dot(rows[r], c) != 0)
         if support <= best:
             best = support

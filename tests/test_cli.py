@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from johnson_eigen import spectral
+from johnson_eigen import cli, spectral
 from johnson_eigen.cli import run
 
 
@@ -379,3 +379,14 @@ def test_table_csv_that_cannot_be_written_is_bad_file(tmp_path, capsys):
     for path in (tmp_path / "missing" / "t.csv", tmp_path):
         code, out, err = invoke(capsys, ["table", "--max-n", "3", "--threads", "1", "--csv", str(path)])
         _assert_cannot_write(code, out, err, path)
+
+
+def test_table_checks_its_csv_path_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # the path used to be opened only after every cell had been verified
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep started before the csv path was checked")
+
+    monkeypatch.setattr(cli, "verify_bound", unreachable)
+    path = tmp_path / "missing" / "t.csv"
+    code, out, err = invoke(capsys, ["table", "--max-n", "3", "--threads", "1", "--csv", str(path)])
+    _assert_cannot_write(code, out, err, path)

@@ -76,6 +76,9 @@ def test_rank_unrank_bijection_and_colex_order(n):
         ranks = [rank_subset(V(s)) for s in subsets]
         assert ranks == sorted(ranks)
         assert len(set(ranks)) == len(ranks)
+        # rank order is numeric bitmask order, which the package sorts vertices by
+        masks = list(vertices_in_rank_order(n, w))
+        assert masks == sorted(masks)
 
 
 def test_rank_independent_of_n():

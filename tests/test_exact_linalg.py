@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from johnson_eigen import (
     BasisCheckError,
@@ -14,9 +16,9 @@ from johnson_eigen import (
     nullspace,
     rank,
 )
-from johnson_eigen.exact_linalg import IntEchelon, span_basis
+from johnson_eigen.exact_linalg import IntEchelon, combine, span_basis
 
-from conftest import make_rng, oracle_mat_vec, oracle_rank, random_rational
+from conftest import make_rng, oracle_mat_vec, oracle_rank, random_rational, reference_kernel
 
 
 def shifted_adjacency(params, lam):
@@ -140,7 +142,7 @@ def _assert_engine_matches_oracle(ech, pushed, width):
     fresh = IntEchelon(width, pushed)
     assert (fresh.rows, fresh.pivots) == (ech.rows, ech.pivots)
     ns = nullspace(ExactMatrix(len(pushed), width, [x for row in pushed for x in row]))
-    kern = ech.kernel()
+    kern = reference_kernel(ech)
     assert len(kern) == ns.cols
     free = [c for c in range(width) if c not in set(ech.pivots)]
     for k, fc in enumerate(free):
@@ -168,6 +170,75 @@ def test_echelon_pushes_match_oracle():
                 ech.push(reduced)
                 pushed.append(row)
             _assert_engine_matches_oracle(ech, pushed, width)
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(10**20), 10**20))
+
+
+@st.composite
+def _column_pairs(draw):
+    size = draw(st.integers(1, 12))
+    col = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    pivot = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        # equal or opposite entries at some rows: the unit-multiplier combines
+        pivot = [draw(st.sampled_from([x, -x, y])) for x, y in zip(col, pivot)]
+    return col, pivot
+
+
+@settings(max_examples=400, deadline=None)
+@given(_column_pairs())
+def test_combine_is_the_cross_multiplication_divided_by_its_gcd(case):
+    col, pivot = case
+    for r in range(len(col)):
+        if not (col[r] and pivot[r]):
+            continue
+        g0 = math.gcd(pivot[r], col[r])
+        p, q = pivot[r] // g0, col[r] // g0
+        new = [p * x - q * y for x, y in zip(col, pivot)]
+        g = math.gcd(*new)
+        expected = [x // g for x in new] if g > 1 else new
+        assert combine(col, pivot, r) == expected
+
+
+@pytest.mark.parametrize("scale", [1, -1, 3, -2])
+def test_combine_and_reduce_of_a_dependent_row_give_zero(scale):
+    base = [2, 0, -4, 6, 1]
+    row = [scale * x for x in base]
+    for r in (0, 2, 3, 4):
+        assert combine(row, base, r) == [0] * len(base)
+    ech = IntEchelon(5, [base, [0, 1, 0, 0, 7]])
+    assert ech.reduce(row) == ()
+    assert ech.reduce([a + 5 * b for a, b in zip(row, ech.rows[1])]) == ()
+
+
+@st.composite
+def _low_rank_rows(draw):
+    width = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.lists(st.integers(-5, 5), min_size=width, max_size=width),
+                         min_size=1, max_size=width))
+    nrows = draw(st.integers(1, 8))
+    mix = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)),
+                        min_size=nrows, max_size=nrows))
+    rows = [[sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(width)] for coeffs in mix]
+    return width, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_low_rank_rows())
+def test_reduced_is_the_reduced_echelon_form_of_the_rows(case):
+    width, rows = case
+    reduced = IntEchelon(width, rows).reduced()
+    pivots = [p for p, _ in reduced]
+    assert pivots == sorted(set(pivots))
+    for p, row in reduced:
+        assert len(row) == width
+        assert next(j for j, x in enumerate(row) if x) == p
+        assert all(row[q] == 0 for q in pivots if q != p)
+    # same span: the reduced rows have the rank of the rows and add nothing to them
+    r = oracle_rank(rows)
+    assert len(reduced) == r
+    assert oracle_rank(rows + [list(row) for _, row in reduced]) == r
 
 
 def test_empty_shapes():

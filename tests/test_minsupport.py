@@ -32,7 +32,6 @@ from johnson_eigen.exact_linalg import ExactMatrix, nullspace
 from johnson_eigen.minsupport import (
     SearchStats,
     _WitnessPool,
-    _combine,
     _hyperplane_scan,
     _normal,
     _project,
@@ -593,35 +592,6 @@ def test_normal_matches_the_generator_form(base, scale):
     values = [scale * x for x in base]
     assert _normal(values) == _generator_normal(values)
     assert type(_normal(values)) is tuple
-
-
-_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(10**20), 10**20))
-
-
-@st.composite
-def _column_pairs(draw):
-    size = draw(st.integers(1, 12))
-    col = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
-    pivot = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
-    if draw(st.booleans()):
-        # equal or opposite entries at some rows: the unit-multiplier combines
-        pivot = [draw(st.sampled_from([x, -x, y])) for x, y in zip(col, pivot)]
-    return col, pivot
-
-
-@settings(max_examples=400, deadline=None)
-@given(_column_pairs())
-def test_combine_is_the_cross_multiplication_divided_by_its_gcd(case):
-    col, pivot = case
-    for r in range(len(col)):
-        if not (col[r] and pivot[r]):
-            continue
-        g0 = math.gcd(pivot[r], col[r])
-        p, q = pivot[r] // g0, col[r] // g0
-        new = [p * x - q * y for x, y in zip(col, pivot)]
-        g = math.gcd(*new)
-        expected = [x // g for x in new] if g > 1 else new
-        assert _combine(col, pivot, r) == expected
 
 
 def _kernel_values(rows, forced):

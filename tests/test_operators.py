@@ -12,6 +12,7 @@ from johnson_eigen import (
     PairingConfig,
     ParameterError,
     SparseFunction,
+    binomial,
     build_canonical,
     coordinate_partition,
     default_pairing,
@@ -21,9 +22,12 @@ from johnson_eigen import (
     induce_down_one,
     is_eigenfunction,
     iterated_reduce,
+    match_canonical,
     reduce,
     spectrum,
+    support_size_bound,
     survivor_coordinates,
+    unrank_subset,
     zero_pair,
 )
 from johnson_eigen.operators import swap_maps_to
@@ -354,3 +358,26 @@ def test_integer_operators_match_fraction_references(f, data):
     if 1 <= w < n:
         j1, j2 = data.draw(st.permutations(range(n)))[:2]
         assert reduce(f, j1, j2) == reference_reduce(f, j1, j2)
+
+
+_F52 = build_canonical(JohnsonParams(5, 2), default_pairing(1))
+
+
+@pytest.mark.parametrize("call", [
+    # the first three used to run quietly as reduce(f, 1, 2), 5 and 6
+    lambda: reduce(_F52, True, 2),
+    lambda: unrank_subset(1.0, 5, 2),
+    lambda: support_size_bound(5, 2, True),
+    # the rest used to end in a bare TypeError
+    lambda: reduce(_F52, 0.0, 1),
+    lambda: induce(_F52, 3.0),
+    lambda: match_canonical(_F52, 1.0),
+    lambda: zero_pair(_F52, 0.0, 1),
+    lambda: default_pairing(1.0),
+    lambda: support_size_bound(5, 2, 1.0),
+    lambda: binomial(5.0, 2),
+], ids=["reduce-bool", "unrank-float", "bound-bool", "reduce-float", "induce", "match",
+        "zero_pair", "default_pairing", "bound-float", "binomial"])
+def test_non_int_arguments_raise_parameter_error(call):
+    with pytest.raises(ParameterError, match="int"):
+        call()
