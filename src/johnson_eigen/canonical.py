@@ -77,11 +77,9 @@ def build_canonical(params: JohnsonParams, pairing: PairingConfig) -> SparseFunc
         raise ParameterError(f"pairing size {i} exceeds weight {w}")
     if any(c >= n for c in pairing.coordinates()):
         raise ParameterError(f"pairing uses coordinates >= n={n}")
-    if w - i > n - 2 * i:
-        raise ParameterError(
-            f"no support: need w-i <= n-2i, got w-i={w - i}, n-2i={n - 2 * i}"
-        )
     size = support_size_bound(n, w, i)
+    if not size:
+        raise ParameterError(f"no support: need w-i <= n-2i, got w-i={w - i}, n-2i={n - 2 * i}")
     if size > MAX_OUTPUT_TERMS:
         raise SizeBudgetError(f"canonical function has {size} entries, over the cap {MAX_OUTPUT_TERMS}")
     return SparseFunction._from_sums(params, pairing_values(n, w, pairing.pairs))
@@ -118,15 +116,17 @@ class CanonicalMatch:
 def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
     """Recognize f as scalar * canonical function with i pairs, if it is one.
 
-    Candidate pairs are the coordinate pairs whose transposition negates f:
-    for a multiple of the canonical function of P they are exactly P, and
-    any other f fails the final comparison. For i >= 1 the reported pairing
-    is normalized to a positive scalar with at most the last pair flipped
-    relative to smaller-element-first order, which makes the result
-    deterministic.
+    None unless |supp f| is the bound. The candidate pairs are those whose
+    transposition negates f: for a multiple of the canonical g of P they are
+    exactly P, and any other f fails the final comparison. They are disjoint:
+    if (a b) and (a c) negate f, a support vertex holds one of a, b and one of
+    a, c (a swap fixes the rest, so f = -f there), and either swap sends it
+    off the support, so f = 0. And supp f = supp g: negation by each pair puts
+    supp f in supp g, the vertices holding one element of every pair, of the
+    same size. For i >= 1 the pairing is normalized to a positive scalar, with
+    at most the last pair flipped from smaller-element-first order.
     """
-    params = f.params
-    n, w = params.n, params.w
+    n, w = f.params.n, f.params.w
     if f.is_zero():
         raise ParameterError("match_canonical requires a nonzero function")
     if not (is_int(i) and 0 <= i <= w):
@@ -134,21 +134,12 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
     if f.support_size != support_size_bound(n, w, i):
         return None
 
-    partner: dict[int, int] = {}
-    for a, b in itertools.combinations(range(n), 2):
-        if swap_maps_to(f, a, b, -1):
-            if a in partner or b in partner:
-                return None
-            partner[a] = b
-            partner[b] = a
-    if len(partner) != 2 * i:
+    pairs = tuple(p for p in itertools.combinations(range(n), 2) if swap_maps_to(f, *p, -1))
+    if len(pairs) != i:
         return None
-    pairs = tuple(sorted((a, partner[a]) for a in partner if a < partner[a]))
 
     candidate = PairingConfig(pairs)
-    g = build_canonical(params, candidate)
-    if g.nums.keys() != f.nums.keys():
-        return None
+    g = build_canonical(f.params, candidate)
     # g is +-1, so f = (s / f.den) g exactly when every f.nums[x] = s g(x)
     x0 = min(f.nums)
     s = f.nums[x0] * g.nums[x0]

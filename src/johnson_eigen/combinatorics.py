@@ -78,6 +78,8 @@ def unrank_subset(r: int, n: int, w: int) -> int:
 
 def vertices_in_rank_order(n: int, w: int) -> Iterator[int]:
     """All w-subsets of {0..n-1} as bitmasks, in co-lex (rank) order."""
+    if not (is_int(n) and is_int(w)):
+        raise ParameterError(f"n and w must be ints, got {n!r}, {w!r}")
     if n > MAX_COORDS:
         raise ParameterError(f"n={n} exceeds the {MAX_COORDS}-coordinate limit")
     if w < 0 or w > n:

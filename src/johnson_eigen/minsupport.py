@@ -44,7 +44,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 
-from .canonical import build_canonical, default_pairing, match_canonical, support_size_bound
+from .canonical import match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError, is_int
 from .exact_linalg import IntEchelon, combine
 from .johnson import JohnsonParams, SparseFunction
@@ -92,12 +92,14 @@ class SearchReport:
 
 
 def _check_searchable(
-    space: EigenspaceBasis, witness_cap: int, workers: int = 1, node_budget: int = 1, **optional
+    space: EigenspaceBasis, witness_cap: int, workers: int = 1, node_budget: int = 1,
+    subset_budget: int = 1, **optional
 ) -> None:
     """Raise ParameterError for an argument that is not an int (bool is not), for a
-    cap, worker count or node budget below 1, or for an empty space. The optional
-    keyword arguments may also be None."""
-    counts = {"witness_cap": witness_cap, "workers": workers, "node_budget": node_budget}
+    cap, worker count, node budget or subset budget below 1, or for an empty
+    space. The optional keyword arguments may also be None."""
+    counts = {"witness_cap": witness_cap, "workers": workers, "node_budget": node_budget,
+              "subset_budget": subset_budget}
     for name, value in (counts | optional).items():
         if not (is_int(value) or value is None and name in optional):
             raise ParameterError(f"{name} must be an int, got {value!r}")
@@ -430,32 +432,25 @@ def verify_bound(
 ) -> SearchReport:
     """Run both oracles where applicable, cross-check them, and compare to the bound.
 
-    The canonical function, when it exists, is verified as an eigenfunction
-    and its support is the bnb's starting limit; it is a member of the
-    eigenspace, so the search can never do worse. The arguments and an empty
-    space, which has no canonical function, are checked first. Where
-    the scan runs too, it confirms: a proven bnb must equal its minimum and
-    keeps its own witnesses, as it offers every minimum-support member; an
-    exhausted bnb takes the scan's value and witnesses unless it found a
-    smaller value itself. Any other difference raises
-    OracleDisagreementError. attained_by_canonical records whether the
-    minimum equals the bound and at least one reported witness is a scalar
-    multiple of a canonical function, all_witnesses_canonical whether every
-    one is; both stay None if optimality was not proven. Both oracles run
-    one after the other in the calling process, so every counter in stats is
-    deterministic.
+    The arguments and an empty space are checked first. A nonzero bound is
+    the bnb's starting limit, as the support of the canonical function of
+    default_pairing(i): it is nonzero exactly when i <= min(w, n-w), where
+    eigenspace_basis has built and eigen-checked that function (shape j = i,
+    second row 1, 3, ..., 2i-1). Where the scan runs too, it confirms: a
+    proven bnb must equal its minimum and keeps its own witnesses, as it
+    offers every minimum-support member; an exhausted bnb takes the scan's
+    value and witnesses unless it found a smaller value itself. Any other
+    difference raises OracleDisagreementError. attained_by_canonical records
+    whether at least one reported witness is a scalar multiple of a
+    canonical function, all_witnesses_canonical whether every one is; a
+    match has the bound's support, so it implies that the minimum equals
+    the bound. Both stay None if optimality was not proven. Both oracles run
+    in turn in the calling process, so every counter in stats is deterministic.
     """
     space = eigenspace_basis(params, i)
     _check_searchable(space, witness_cap, node_budget=node_budget, subset_budget=subset_budget)
-    hint = None
-    if params.w - i <= params.n - 2 * i:
-        f_can = build_canonical(params, default_pairing(i))
-        verdict = is_eigenfunction(f_can, space.lam)
-        if not verdict.holds or verdict.is_zero:
-            raise OracleDisagreementError("canonical function failed eigenfunction verification")
-        hint = f_can.support_size
-
-    report = min_support_bnb(space, node_budget, witness_cap, upper_bound_hint=hint)
+    bound = support_size_bound(params.n, params.w, i)
+    report = min_support_bnb(space, node_budget, witness_cap, upper_bound_hint=bound or None)
     algorithm = "bnb"
     min_support = report.min_support
     witnesses = report.witnesses
@@ -479,13 +474,11 @@ def verify_bound(
         if not v.holds or v.is_zero or w.support_size != min_support:
             raise OracleDisagreementError("unsound witness produced by the search")
 
-    attained = None
-    all_canonical = None
+    attained = all_canonical = None
     if report.proven_optimal:
         matches = [match_canonical(w, i) is not None for w in witnesses]
-        hit_bound = min_support == report.bound and report.bound > 0
-        attained = hit_bound and any(matches)
-        all_canonical = hit_bound and bool(matches) and all(matches)
+        attained = any(matches)
+        all_canonical = bool(matches) and all(matches)
     return replace(
         report,
         min_support=min_support,

@@ -107,9 +107,11 @@ def survivor_coordinates(n: int, pairs) -> list[int]:
     survivor_coordinates(n, pairs)[p], which is what lets reduction chains be
     stated against the coordinates of the starting graph.
     """
+    if not is_int(n):
+        raise ParameterError(f"n must be an int, got {n!r}")
     survivors = list(range(n))
     for j1, j2 in pairs:
-        if j1 == j2 or not (0 <= j1 < len(survivors)) or not (0 <= j2 < len(survivors)):
+        if j1 == j2 or not all(is_int(j) and 0 <= j < len(survivors) for j in (j1, j2)):
             raise ParameterError(f"bad reduction pair ({j1},{j2}) for {len(survivors)} coordinates")
         for j in sorted((j1, j2), reverse=True):
             del survivors[j]
@@ -164,16 +166,12 @@ def coordinate_partition(f: SparseFunction) -> PartitionResult:
     fixes f, the test is symmetric, and two zero reductions sharing a
     coordinate force the third. So each coordinate is tested only against the
     first member of each block found so far, and opens a new block when it
-    matches none.
+    matches none; on a single-vertex graph (w = 0 or n) all form one block.
     """
-    n = f.params.n
-    if f.params.w in (0, n):
-        # single-vertex graph: every transposition fixes f
-        return PartitionResult((tuple(range(n)),) if n else ())
     blocks: list[list[int]] = []
-    for c in range(n):
+    for c in range(f.params.n):
         for block in blocks:
-            if zero_pair(f, block[0], c):
+            if swap_maps_to(f, block[0], c, 1):
                 block.append(c)
                 break
         else:

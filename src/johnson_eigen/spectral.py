@@ -69,6 +69,8 @@ def eigenvalue_index(params: JohnsonParams, lam: int) -> int:
     is total on the spectrum; smaller n can collide and then the caller must
     supply the index explicitly.
     """
+    if not is_int(lam):
+        raise ParameterError(f"eigenvalue {lam!r} is not an int")
     hits = [info.i for info in spectrum(params) if info.lam == lam]
     if not hits:
         raise ParameterError(f"{lam} is not an eigenvalue of J({params.n},{params.w})")
@@ -197,6 +199,8 @@ def is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:
     and the supersets of the nonzero down sums, and on an eigenfunction D
     cancels most sums. The certificate is the failing vertex of lowest rank.
     """
+    if not is_int(lam):
+        raise ParameterError(f"eigenvalue {lam!r} is not an int")
     if f.is_zero():
         return EigenVerdict(holds=True, is_zero=True)
     failing = _failing_vertices(f.nums, f.params.n, lam)

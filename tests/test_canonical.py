@@ -1,9 +1,10 @@
 """Canonical minimum-support construction and recognition."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from johnson_eigen import (
@@ -18,6 +19,7 @@ from johnson_eigen import (
     match_canonical,
     support_size_bound,
 )
+from johnson_eigen.operators import swap_maps_to
 
 from conftest import V, make_rng, reference_match_canonical
 
@@ -83,6 +85,11 @@ def test_pairing_rejects_a_float_coordinate():
 def test_pairing_rejects_a_bool_coordinate():
     with pytest.raises(ParameterError):
         PairingConfig(((0, True),))
+
+
+def test_pairing_rejects_a_negative_coordinate():
+    with pytest.raises(ParameterError, match=r"^negative coordinate in pairing: \(\(-1, 2\),\)$"):
+        PairingConfig(((-1, 2),))
 
 
 def test_pairing_rejects_a_pair_that_is_not_a_tuple():
@@ -234,3 +241,55 @@ def test_match_agrees_with_partition_prefiltered_reference(case):
     f, i = case
     for index in {i, max(i - 1, 0), min(i + 1, f.params.w)}:
         assert match_canonical(f, index) == reference_match_canonical(f, index), (f, index)
+
+
+@st.composite
+def antisymmetrized(draw, disjoint):
+    """A random integer function on J(n,w), n <= 7, made antisymmetric under
+    each of a few transpositions in turn by f <- f - f o (a b), so it is
+    negated by at least the last one; the transpositions are disjoint pairs
+    of a random pairing, or any, possibly sharing coordinates."""
+    n = draw(st.integers(2, 7))
+    if disjoint:
+        coords = draw(st.permutations(range(n)))
+        i = draw(st.integers(1, n // 2))
+        swaps = [coords[2 * k:2 * k + 2] for k in range(i)]
+        w = draw(st.integers(i, n - i))
+    else:
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        swaps = draw(st.lists(pair, min_size=1, max_size=3))
+        w = draw(st.integers(1, n - 1))
+    p = JohnsonParams(n, w)
+    verts = list(p.vertices())
+    f = dict(zip(verts, draw(st.lists(st.integers(-3, 3), min_size=len(verts), max_size=len(verts)))))
+    for a, b in swaps:
+        mask = 1 << a | 1 << b
+        f = {x: v - f[x if (x & mask) in (0, mask) else x ^ mask] for x, v in f.items()}
+    return SparseFunction(p, f)
+
+
+def negating_pairs(f) -> list[tuple[int, int]]:
+    return [p for p in itertools.combinations(range(f.params.n), 2) if swap_maps_to(f, *p, -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(antisymmetrized(disjoint=False), antisymmetrized(disjoint=True)))
+def test_negating_transpositions_of_a_nonzero_function_are_disjoint(f):
+    # why match_canonical needs no overlap guard
+    assume(not f.is_zero())
+    pairs = negating_pairs(f)
+    coords = [c for p in pairs for c in p]
+    assert pairs and len(coords) == len(set(coords))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(antisymmetrized(disjoint=True), matcher_inputs().map(lambda case: case[0])))
+def test_support_is_the_canonical_support_when_the_pairs_are_found(f):
+    # why match_canonical needs no support-keys guard: i negating pairs and the
+    # bound's support size leave supp f no choice
+    n, w = f.params.n, f.params.w
+    pairs = negating_pairs(f)
+    assume(not f.is_zero() and len(pairs) <= w)
+    assume(f.support_size == support_size_bound(n, w, len(pairs)))
+    g = build_canonical(f.params, PairingConfig(tuple(pairs)))
+    assert f.entries.keys() == g.entries.keys()

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from johnson_eigen import cli, spectral
+from johnson_eigen import OracleDisagreementError, cli, spectral
 from johnson_eigen.cli import run
 
 
@@ -145,6 +146,61 @@ def test_minsupport_empty_eigenspace_usage_error(capsys, algo):
                                    "--algo", algo])
     assert code == 2
     assert err == "error[USAGE] eigenspace of J(4,3) at index 2 is empty\n"
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    ("minsupport --n 5 --w 2 --i 1 --witness-cap 2", 0, [
+        "J(5,2)  i=1  lambda=1  dim=4",
+        "algorithm: bnb+hyperplane",
+        "min_support: 6",
+        "bound 2^i*C(n-2i,w-i): 6",
+        "attained_by_canonical: True",
+        "all_witnesses_canonical: False",
+        "stats: nodes=239 subsets=120 elapsed=*",
+        "witness[0]: {0,3}:1 {1,3}:1 {2,3}:1 {0,4}:-1 {1,4}:-1 {2,4}:-1",
+        "witness[1]: {1,2}:2 {0,3}:-2 {0,4}:-1 {1,4}:1 {2,4}:1 {3,4}:-1",
+    ]),
+    ("minsupport --n 5 --w 2 --i 2 --algo bnb --budget 1", 3, [
+        "J(5,2)  i=2  lambda=-2  dim=5",
+        "algorithm: bnb",
+        "min_support: unknown  (budget exhausted, not proven optimal)",
+        "bound 2^i*C(n-2i,w-i): 4",
+        "attained_by_canonical: None",
+        "all_witnesses_canonical: None",
+        "stats: nodes=2 subsets=0 elapsed=*",
+    ]),
+], ids=["proven", "exhausted"])
+def test_minsupport_human_report(capsys, argv, code, expected):
+    got, out, err = invoke(capsys, argv.split())
+    assert got == code
+    assert err == ("" if code == 0 else "error[BUDGET_EXHAUSTED] search budget exhausted; "
+                   "result not proven optimal\n")
+    assert re.sub(r"elapsed=\d+\.\d{3}s$", "elapsed=*", out, flags=re.M).splitlines() == expected
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ("0:1:2", "bad pair '0:1:2'; expected a:b"),
+    ("a:b", "bad pair 'a:b': invalid literal for int() with base 10: 'a'"),
+], ids=["three-parts", "not-ints"])
+def test_canonical_rejects_a_malformed_pair(capsys, pairs, message):
+    argv = ["canonical", "--n", "6", "--w", "2", "--i", "1", "--pairs", pairs]
+    assert invoke(capsys, argv) == (2, "", f"error[USAGE] {message}\n")
+
+
+def test_verify_without_an_index_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"n": 5, "w": 2, "entries": [[0, "1"]]}')
+    assert invoke(capsys, ["verify", "--func", str(path)]) == (
+        2, "", "error[USAGE] no eigenvalue index: pass --i or store lambda_index in the file\n")
+
+
+def test_oracle_disagreement_exits_1(capsys, monkeypatch):
+    def disagree(*args):
+        raise OracleDisagreementError("bnb found 4 but hyperplane found 5 on J(5,2) index 2")
+
+    monkeypatch.setattr(cli, "verify_bound", disagree)
+    assert invoke(capsys, ["minsupport", "--n", "5", "--w", "2", "--i", "2"]) == (
+        1, "", "error[ORACLE_DISAGREEMENT] bnb found 4 but hyperplane found 5 on J(5,2) index 2\n")
 
 
 GOLDEN = Path(__file__).parent / "golden"

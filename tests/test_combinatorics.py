@@ -93,6 +93,11 @@ def test_vertex_helpers_validate():
         unrank_subset(0, 65, 1)
 
 
+def test_vertices_in_rank_order_rejects_more_than_64_coordinates():
+    with pytest.raises(ParameterError, match="^n=65 exceeds the 64-coordinate limit$"):
+        next(vertices_in_rank_order(65, 1))
+
+
 def test_rank_subset_rejects_a_negative_mask():
     with pytest.raises(ParameterError):
         rank_subset(-1)

@@ -290,6 +290,11 @@ def test_matrix_rejects_a_shape_that_is_not_two_ints(rows, cols):
         ExactMatrix(rows, cols, [1] * 4)
 
 
+def test_matrix_rejects_data_of_the_wrong_length():
+    with pytest.raises(ParameterError, match="^data length 5 does not match 2x3$"):
+        ExactMatrix(2, 3, [1, 2, 3, 4, 5])
+
+
 def test_matrix_shares_fraction_entries_and_converts_ints():
     half = Fraction(1, 2)
     m = ExactMatrix(1, 2, [half, 3])

@@ -106,6 +106,13 @@ def test_reader_rejects_malformed_documents(mutate):
         document_to_function(doc)
 
 
+@pytest.mark.parametrize("item", [[0], [0, "1", "2"], 0, "0:1", {"0": "1"}])
+def test_reader_rejects_an_entry_that_is_not_a_two_item_list(item):
+    doc = {"n": 5, "w": 2, "entries": [item]}
+    with pytest.raises(FunctionFileError, match="^" + re.escape(f"bad entry {item!r}") + "$"):
+        document_to_function(doc)
+
+
 def test_reader_rejects_bad_files(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(FunctionFileError):

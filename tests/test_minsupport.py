@@ -27,7 +27,7 @@ from johnson_eigen import (
     support_size_bound,
     verify_bound,
 )
-from johnson_eigen import minsupport
+from johnson_eigen import canonical, minsupport
 from johnson_eigen.exact_linalg import ExactMatrix, nullspace
 from johnson_eigen.minsupport import (
     SearchStats,
@@ -172,6 +172,16 @@ def test_node_budget_below_one_rejected(budget):
         min_support_bnb(eigenspace_basis(JohnsonParams(5, 2), 2), node_budget=budget)
     with pytest.raises(ParameterError, match=message):
         verify_bound(JohnsonParams(5, 2), 2, node_budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_subset_budget_below_one_rejected(budget):
+    # verify_bound used to accept it and quietly skip the confirming scan
+    message = f"^subset_budget must be at least 1, got {budget}$"
+    with pytest.raises(ParameterError, match=message):
+        min_support_hyperplane(eigenspace_basis(JohnsonParams(5, 2), 2), subset_budget=budget)
+    with pytest.raises(ParameterError, match=message):
+        verify_bound(JohnsonParams(5, 2), 2, subset_budget=budget)
 
 
 def test_node_budget_of_one_gives_an_unproven_report():
@@ -320,6 +330,27 @@ def test_verify_bound_node_count_pinned():
     assert report.stats.eliminations == 29_954
 
 
+def test_verify_bound_takes_its_hint_from_the_bound(monkeypatch):
+    # it used to rebuild and eigen-check the canonical function of default_pairing(i),
+    # which eigenspace_basis had just built and checked, before the search
+    events = []
+
+    def record(name, call):
+        def recorded(*args, **kwargs):
+            events.append(name)
+            return call(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(minsupport, "min_support_bnb", record("bnb", minsupport.min_support_bnb))
+    monkeypatch.setattr(minsupport, "is_eigenfunction", record("eigen", is_eigenfunction))
+    monkeypatch.setattr(canonical, "build_canonical", record("build", canonical.build_canonical))
+    report = verify_bound(JohnsonParams(8, 2), 2)
+    assert report.stats.nodes == 97_257
+    assert report.all_witnesses_canonical and len(report.witnesses) == 16
+    # the only canonical functions built are match_canonical's, one per witness after the search
+    assert events == ["bnb"] + ["eigen"] * 16 + ["build"] * 16
+
+
 @pytest.mark.parametrize("n,w,i,pinned", [
     (7, 2, 1, SearchStats(subsets=20_349, offered=7_287, valued=21, eliminations=9_958)),
     (6, 3, 1, SearchStats(subsets=4_845, offered=2_881, valued=16, eliminations=1_260)),
@@ -391,9 +422,9 @@ def test_node_budget_must_be_an_int(budget):
         verify_bound(JohnsonParams(5, 2), 2, node_budget=budget)
 
 
-@pytest.mark.parametrize("budget", ["9", 9.0, True])
+@pytest.mark.parametrize("budget", ["9", 9.0, True, None])
 def test_subset_budget_must_be_an_int(budget):
-    # "9" used to end in a bare TypeError
+    # "9" used to end in a bare TypeError; None did too, in verify_bound after the whole bnb
     message = f"^subset_budget must be an int, got {budget!r}$"
     with pytest.raises(ParameterError, match=message):
         min_support_hyperplane(eigenspace_basis(JohnsonParams(5, 2), 2), subset_budget=budget)

@@ -28,6 +28,7 @@ from johnson_eigen import (
     support_size_bound,
     survivor_coordinates,
     unrank_subset,
+    vertices_in_rank_order,
     zero_pair,
 )
 from johnson_eigen.operators import swap_maps_to
@@ -241,6 +242,15 @@ def test_partition_zero_function_single_block():
     assert part.t == 1
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_partition_of_a_single_vertex_graph_is_one_block(n):
+    # w = 0 and w = n used to take a branch of their own; every swap fixes the one vertex
+    for w in {0, n}:
+        for value in (0, 1, Fraction(-3, 2)):
+            f = SparseFunction.constant(JohnsonParams(n, w), value)
+            assert coordinate_partition(f).blocks == ((tuple(range(n)),) if n else ())
+
+
 def test_partition_agrees_with_pairwise_zero_pair_oracle():
     rng = make_rng(34)
     for trial in range(20):
@@ -380,4 +390,20 @@ _F52 = build_canonical(JohnsonParams(5, 2), default_pairing(1))
         "zero_pair", "default_pairing", "bound-float", "binomial"])
 def test_non_int_arguments_raise_parameter_error(call):
     with pytest.raises(ParameterError, match="int"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # the bool ones used to run as 1: survivors [0, 3, 4] and [0], and the five w=1 vertices
+    (lambda: survivor_coordinates(5, [(True, 2)]), r"^bad reduction pair \(True,2\) for 5 coordinates$"),
+    (lambda: survivor_coordinates(True, []), "^n must be an int, got True$"),
+    (lambda: list(vertices_in_rank_order(5, True)), "^n and w must be ints, got 5, True$"),
+    # the float ones used to end in a bare TypeError
+    (lambda: survivor_coordinates(5, [(0.0, 1)]), r"^bad reduction pair \(0.0,1\) for 5 coordinates$"),
+    (lambda: survivor_coordinates(5.0, []), r"^n must be an int, got 5\.0$"),
+    (lambda: list(vertices_in_rank_order(5.0, 2)), "^n and w must be ints, got 5.0, 2$"),
+], ids=["survivors-bool", "survivors-n-bool", "rank-order-bool",
+        "survivors-float", "survivors-n-float", "rank-order-float"])
+def test_survivors_and_rank_order_reject_non_int_arguments(call, message):
+    with pytest.raises(ParameterError, match=message):
         call()

@@ -1,6 +1,7 @@
 """Spectrum formulas, eigenspace bases, eigenfunction verdicts."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,26 @@ def test_eigenvalue_index_must_be_an_int(i):
     for call in (eigenvalue, eigenspace_dimension, eigenspace_basis):
         with pytest.raises(ParameterError, match=r"is not an int in 0\.\.2"):
             call(p, i)
+
+
+@pytest.mark.parametrize("lam", ["1", 1.0, True, Fraction(1), None])
+def test_eigenvalue_must_be_an_int(lam):
+    # is_eigenfunction(f, "1") used to give a verdict with a certificate ("1" * k is
+    # string repetition), 1.0 to decide in floats and True to run as 1;
+    # eigenvalue_index took 1.0, True and Fraction(1) as 1
+    p = JohnsonParams(5, 2)
+    message = f"^eigenvalue {re.escape(repr(lam))} is not an int$"
+    for f in (build_canonical(p, default_pairing(1)), SparseFunction.zero(p)):
+        with pytest.raises(ParameterError, match=message):
+            is_eigenfunction(f, lam)
+    with pytest.raises(ParameterError, match=message):
+        eigenvalue_index(p, lam)
+
+
+def test_member_needs_one_coefficient_per_basis_column():
+    space = eigenspace_basis(JohnsonParams(5, 2), 1)
+    with pytest.raises(ParameterError, match="^expected 4 coefficients, got 3$"):
+        space.member([1, 2, 3])
 
 
 def test_size_budget_enforced():
