@@ -22,6 +22,7 @@ from .errors import (
     SizeBudgetError,
 )
 from .fileformat import (
+    check_writable,
     dumps_document,
     function_to_document,
     read_function,
@@ -165,6 +166,8 @@ def cmd_canonical(args) -> int:
     pairing = _parse_pairs(args.pairs) if args.pairs else default_pairing(args.i)
     if pairing.size != args.i:
         raise ParameterError(f"--pairs gives {pairing.size} pairs but --i is {args.i}")
+    if args.out:
+        check_writable(args.out)  # an unwritable path fails before the build
     f = build_canonical(params, pairing)
     _write_function_output(f, args.i, args.out)
     return EXIT_OK
@@ -190,22 +193,26 @@ def cmd_verify(args) -> int:
 def cmd_induce(args) -> int:
     f, stored_index = read_function(args.func_path)
     w = f.params.w
-    if args.target_w >= w:
-        g = induce(f, args.target_w)
-        out_index = stored_index
-    elif args.target_w == w - 1:
-        g = induce_down_one(f)
-        out_index = None
-    else:
+    if args.target_w < w - 1:
         raise ParameterError(
             f"target weight {args.target_w} unsupported: upward needs >= {w}, downward only {w - 1}"
         )
+    if args.out:
+        check_writable(args.out)  # an unwritable path fails before the build
+    if args.target_w >= w:
+        g = induce(f, args.target_w)
+        out_index = stored_index
+    else:
+        g = induce_down_one(f)
+        out_index = None
     _write_function_output(g, out_index, args.out)
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
     f, stored_index = read_function(args.func_path)
+    if args.out:
+        check_writable(args.out)  # an unwritable path fails before the build
     g = reduce(f, args.j1, args.j2)
     out_index = stored_index - 1 if stored_index is not None and stored_index >= 1 else None
     _write_function_output(g, out_index, args.out)
@@ -245,7 +252,7 @@ def cmd_minsupport(args) -> int:
 
 def cmd_table(args) -> int:
     if args.csv:
-        write_text(args.csv, "")  # an unwritable path fails before the sweep
+        check_writable(args.csv)  # an unwritable path fails before the sweep
     max_w = args.max_w if args.max_w is not None else args.max_n
     rows = []
     for n in range(1, args.max_n + 1):

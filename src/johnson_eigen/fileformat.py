@@ -10,6 +10,7 @@ one trailing newline.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 from .combinatorics import rank_subset, unrank_subset
@@ -91,6 +92,19 @@ def write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FunctionFileError(f"cannot write {path}: {exc}") from exc
+
+
+def check_writable(path: str) -> None:
+    """FunctionFileError unless path opens for writing; an existing file keeps
+    its bytes, and a file the check creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
     except OSError as exc:
         raise FunctionFileError(f"cannot write {path}: {exc}") from exc
 

@@ -43,6 +43,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
+from operator import neg
 
 from .canonical import match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError, is_int
@@ -53,6 +54,8 @@ from .spectral import EigenspaceBasis, eigenspace_basis, is_eigenfunction
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_SUBSET_BUDGET = 100_000
 DEFAULT_WITNESS_CAP = 16
+# the entries at which the bnb's elimination memo is cleared (min_support_bnb)
+_MEMO_CAP = 512
 
 
 @dataclass
@@ -63,7 +66,8 @@ class SearchStats:
     # witness pool: calls to offer, and the distinct value vectors it kept
     offered: int = 0
     valued: int = 0
-    # cross-multiplications of two columns: the bnb's _settle, the scan's _project
+    # elimination steps on two columns, computed or recalled: the bnb's _settle
+    # (memoized), the scan's _project and its last level
     eliminations: int = 0
 
 
@@ -115,7 +119,9 @@ def _normal(values) -> tuple[int, ...]:
     g = math.gcd(*values)
     if next(filter(None, values)) < 0:
         g = -g
-    return tuple(values) if g == 1 else tuple(x // g for x in values)
+    if g == 1:
+        return tuple(values)
+    return tuple(map(neg, values)) if g == -1 else tuple(x // g for x in values)
 
 
 def _project(cols: list[list[int]], r: int, stats: SearchStats) -> list[list[int]] | None:
@@ -142,7 +148,8 @@ def _project(cols: list[list[int]], r: int, stats: SearchStats) -> list[list[int
 
 
 def _settle(
-    col: list[int], start: int, cols: list[list[int]], leads: list[int], stats: SearchStats
+    col: list[int], start: int, cols: list[list[int]], leads: list[int], stats: SearchStats,
+    memo: dict,
 ) -> None:
     """Insert col into the staircase cols, sorted by their distinct leads.
 
@@ -150,17 +157,37 @@ def _settle(
     none. While that row is the lead of a column of cols, col is combined
     with that column (combine), so that it vanishes there and its lead moves
     down. Then it goes in at its lead. The span is unchanged.
+
+    Every such step counts one elimination, and memo recalls the steps made
+    before: it maps (id(col), id(pivot), r) to (col, pivot, result, next),
+    where next is the result's first nonzero row after r. Columns are never
+    mutated once built, so a step is decided by the identity of its operands,
+    and an entry holds both operands, so their ids are not reused while its
+    key exists. The memo is cleared when it holds _MEMO_CAP entries.
     """
     nverts = len(col)
     r = start
+    while r < nverts and not col[r]:
+        r += 1
     while True:
-        while r < nverts and not col[r]:
-            r += 1
         j = bisect_left(leads, r)
         if r == nverts or j == len(leads) or leads[j] != r:
             break
         stats.eliminations += 1
-        col = combine(col, cols[j], r)
+        pivot = cols[j]
+        key = (id(col), id(pivot), r)
+        step = memo.get(key)
+        if step is None:
+            new = combine(col, pivot, r)
+            nxt = r + 1
+            while nxt < nverts and not new[nxt]:
+                nxt += 1
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = col, pivot, new, nxt
+            col, r = new, nxt
+        else:
+            col, r = step[2], step[3]
     cols.insert(j, col)
     leads.insert(j, r)
 
@@ -254,6 +281,17 @@ def min_support_bnb(
     the parent's lists and starts one column further on; only a settle
     copies them.
 
+    The same column meets the same pivot at the same row on many paths: on
+    J(8,2) i=2 the 29,954 elimination steps have 2,624 distinct operands. So
+    the settles of one call, the starting ones too, share one memo that
+    recalls a step by the identity of its two columns and its row (_settle).
+    That is safe, as no column is mutated once built and an entry keeps its
+    operands alive. The memo is cleared at _MEMO_CAP = 512 entries, so it
+    holds at most 512 columns of N integers whatever the node budget, and
+    it still recalls 85% of the steps on J(8,2) i=2 (89% with no cap) and
+    77% on J(7,3) i=3 (83%). stats.eliminations counts every step, computed
+    or recalled.
+
     A node with as many frees as the limit is closed at once. Each of its
     free children, and those of every node below it, is pruned on entry, as
     the limit never grows; so its subtree is the path that forces every row
@@ -329,7 +367,7 @@ def min_support_bnb(
         if leads[o] < k:
             # the free child of row k-1: the column that led there settles anew
             head, cols, leads, o = cols[o], cols[o + 1 :], leads[o + 1 :], 0
-            _settle(head, k, cols, leads, stats)
+            _settle(head, k, cols, leads, stats, memo)
         if len(frees) == limit:
             # every free child below is pruned on entry: the forced path to
             # row stop, its measure at one column, then those free children
@@ -348,8 +386,9 @@ def min_support_bnb(
 
     cols: list[list[int]] = []
     leads: list[int] = []
+    memo: dict = {}
     for col in pool.columns():
-        _settle(col, 0, cols, leads, stats)
+        _settle(col, 0, cols, leads, stats, memo)
     visit(0, [], cols, leads, 0)
     if not exhausted and pool.best is None:
         raise ParameterError(f"upper_bound_hint {upper_bound_hint} is below the minimum support")
@@ -390,15 +429,18 @@ def min_support_hyperplane(
 
 
 def _hyperplane_scan(cols: list[list[int]], pool) -> None:
-    """Walk every (d-1)-subset of the N rows of the d columns in lexicographic order.
+    """Walk every (d-1)-subset of the N rows of the d >= 2 columns in lexicographic order.
 
     Depth first over prefixes: each step forces the next row r (_project) and
     recurses on the rows after r that leave room for the rest of the subset.
     A dependent row ends its whole branch, so no subset under a dependent
     prefix is visited; all C(N, d-1) subsets are covered, and counted in
-    pool.stats up front. At one column left the support is measured, and pool
-    is offered the (support, values) of each subset that ties or beats the
-    best so far. The recursion depth is d-1.
+    pool.stats up front. With two columns c0, c1 left, the last row r is
+    handled in place, as _project would: it is dependent where both are
+    zero, leaves c1 where only c0 is nonzero and c0 where only c1 is, and
+    else one combination of c1 with c0. The one column left is measured, and
+    pool is offered the (support, values) of each subset that ties or beats
+    the best so far. The recursion depth is d-2.
     """
     nverts, d = len(cols[0]), len(cols)
     stats = pool.stats
@@ -407,12 +449,24 @@ def _hyperplane_scan(cols: list[list[int]], pool) -> None:
 
     def walk(start: int, cols: list[list[int]]) -> None:
         nonlocal best
-        if len(cols) == 1:
-            values = cols[0]
-            support = nverts - values.count(0)
-            if support <= best:
-                best = support
-                pool.offer(support, values)
+        if len(cols) == 2:
+            c0, c1 = cols
+            zeros0, zeros1 = c0.count(0), c1.count(0)
+            for r in range(start, nverts):
+                if not c0[r]:
+                    if not c1[r]:
+                        continue
+                    values, zeros = c0, zeros0
+                elif not c1[r]:
+                    values, zeros = c1, zeros1
+                else:
+                    stats.eliminations += 1
+                    values = combine(c1, c0, r)
+                    zeros = values.count(0)
+                support = nverts - zeros
+                if support <= best:
+                    best = support
+                    pool.offer(support, values)
             return
         # row r and the len(cols) - 2 rows still to come after it must fit below nverts
         for r in range(start, nverts - len(cols) + 2):

@@ -431,6 +431,55 @@ def test_reduce_out_that_cannot_be_written_is_bad_file(tmp_path, capsys):
         _assert_cannot_write(code, out, err, path)
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the build started before the --out path was checked")
+
+
+def test_canonical_checks_its_out_path_before_the_build(tmp_path, capsys, monkeypatch):
+    # the path used to be opened only after up to 10^6 terms had been built
+    monkeypatch.setattr(cli, "build_canonical", _unreachable)
+    path = tmp_path / "missing" / "f.json"
+    code, out, err = invoke(capsys, ["canonical", "--n", "5", "--w", "2", "--i", "1",
+                                     "--out", str(path)])
+    _assert_cannot_write(code, out, err, path)
+
+
+@pytest.mark.parametrize("target_w,build", [("3", "induce"), ("1", "induce_down_one")])
+def test_induce_checks_its_out_path_before_the_build(tmp_path, capsys, monkeypatch, target_w, build):
+    src = _canonical_file(tmp_path, capsys)
+    monkeypatch.setattr(cli, build, _unreachable)
+    path = tmp_path / "missing" / "g.json"
+    code, out, err = invoke(capsys, ["induce", "--func", src, "--target-w", target_w,
+                                     "--out", str(path)])
+    _assert_cannot_write(code, out, err, path)
+
+
+def test_reduce_checks_its_out_path_before_the_build(tmp_path, capsys, monkeypatch):
+    src = _canonical_file(tmp_path, capsys)
+    monkeypatch.setattr(cli, "reduce", _unreachable)
+    path = tmp_path / "missing" / "g.json"
+    code, out, err = invoke(capsys, ["reduce", "--func", src, "--j1", "0", "--j2", "1",
+                                     "--out", str(path)])
+    _assert_cannot_write(code, out, err, path)
+
+
+def test_failed_build_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"kept")
+    code, out, err = invoke(capsys, ["canonical", "--n", "40", "--w", "20", "--i", "0",
+                                     "--out", str(path)])
+    assert code == 2 and err.startswith("error[SIZE_LIMIT]")
+    assert path.read_bytes() == b"kept"
+
+
+def test_out_path_may_be_the_input_file(tmp_path, capsys):
+    # the input is read before the output is written empty
+    src = _canonical_file(tmp_path, capsys)
+    assert invoke(capsys, ["reduce", "--func", src, "--j1", "0", "--j2", "1", "--out", src])[0] == 0
+    code, out, _ = invoke(capsys, ["verify", "--func", src])
+    assert code == 0 and out.startswith("holds: eigenfunction at lambda_0")
+
+
 def test_table_csv_that_cannot_be_written_is_bad_file(tmp_path, capsys):
     for path in (tmp_path / "missing" / "t.csv", tmp_path):
         code, out, err = invoke(capsys, ["table", "--max-n", "3", "--threads", "1", "--csv", str(path)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from johnson_eigen import FunctionFileError, JohnsonParams, SparseFunction
 from johnson_eigen.fileformat import (
+    check_writable,
     document_to_function,
     dumps_document,
     function_to_document,
@@ -74,6 +75,17 @@ def test_writer_raises_a_file_error_when_it_cannot_write(tmp_path):
     for path in (tmp_path / "missing" / "f.json", tmp_path):
         with pytest.raises(FunctionFileError, match="^" + re.escape(f"cannot write {path}: ")):
             write_function(str(path), f)
+
+
+def test_writable_check_leaves_the_path_as_it_was(tmp_path):
+    for path in (tmp_path / "missing" / "f.json", tmp_path):
+        with pytest.raises(FunctionFileError, match="^" + re.escape(f"cannot write {path}: ")):
+            check_writable(str(path))
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_bytes(b"kept")
+    check_writable(str(new))
+    check_writable(str(old))
+    assert not new.exists() and old.read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize(

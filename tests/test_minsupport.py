@@ -28,7 +28,7 @@ from johnson_eigen import (
     verify_bound,
 )
 from johnson_eigen import canonical, minsupport
-from johnson_eigen.exact_linalg import ExactMatrix, nullspace
+from johnson_eigen.exact_linalg import ExactMatrix, combine, nullspace
 from johnson_eigen.minsupport import (
     SearchStats,
     _WitnessPool,
@@ -695,37 +695,82 @@ def _staircase_walks(draw):
         st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=nrows, max_size=nrows
     ))
     assume(oracle_rank(rows) == d)
-    return rows, draw(st.lists(st.booleans(), min_size=nrows, max_size=nrows))
+    path = st.lists(st.booleans(), min_size=nrows, max_size=nrows)
+    return rows, draw(st.lists(path, min_size=1, max_size=3))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_staircase_walks())
 def test_staircase_walk_keeps_its_invariant(case):
-    # the bnb's steps on one path, forcing or freeing row k in turn: the
-    # columns stay a staircase of the kernel of the forced rows
-    rows, force = case
-    d = len(rows[0])
+    # the bnb's steps on a few paths from one start, forcing or freeing row k
+    # in turn: the columns stay a staircase of the kernel of the forced rows,
+    # and the shared memo recalls exactly what a fresh memo computes
+    rows, paths = case
     stats = SearchStats()
-    cols: list[list[int]] = []
-    leads: list[int] = []
+    memo: dict = {}
+    start_cols: list[list[int]] = []
+    start_leads: list[int] = []
     for col in zip(*rows):
-        _settle(list(col), 0, cols, leads, stats)
-    forced: list[int] = []
-    _assert_staircase(rows, cols, leads, 0, forced)
-    for k, force_k in enumerate(force):
-        if len(cols) == 1:
-            break  # the bnb measures its one column here
-        forced_rows = [rows[r] for r in forced]
-        dependent = leads[0] != k
-        assert dependent == (oracle_rank(forced_rows + [rows[k]]) == oracle_rank(forced_rows))
-        if force_k:
-            forced.append(k)
-            if not dependent:
-                cols, leads = cols[1:], leads[1:]
-        elif not dependent:
-            head, cols, leads = cols[0], cols[1:], leads[1:]
-            _settle(head, k + 1, cols, leads, stats)
-        _assert_staircase(rows, cols, leads, k + 1, forced)
+        _settle(list(col), 0, start_cols, start_leads, stats, memo)
+    # the same staircase settled with a fresh memo per settle: nothing recalled
+    fresh_start: list[list[int]] = []
+    fresh_start_leads: list[int] = []
+    for col in zip(*rows):
+        _settle(list(col), 0, fresh_start, fresh_start_leads, SearchStats(), {})
+    assert (start_cols, start_leads) == (fresh_start, fresh_start_leads)
+    _assert_staircase(rows, start_cols, start_leads, 0, [])
+    for force in paths:
+        cols, leads = start_cols, start_leads
+        fresh_cols, fresh_leads = fresh_start, fresh_start_leads
+        forced: list[int] = []
+        for k, force_k in enumerate(force):
+            if len(cols) == 1:
+                break  # the bnb measures its one column here
+            forced_rows = [rows[r] for r in forced]
+            dependent = leads[0] != k
+            assert dependent == (oracle_rank(forced_rows + [rows[k]]) == oracle_rank(forced_rows))
+            if force_k:
+                forced.append(k)
+                if not dependent:
+                    cols, leads = cols[1:], leads[1:]
+                    fresh_cols, fresh_leads = fresh_cols[1:], fresh_leads[1:]
+            elif not dependent:
+                head, cols, leads = cols[0], cols[1:], leads[1:]
+                _settle(head, k + 1, cols, leads, stats, memo)
+                head, fresh_cols, fresh_leads = fresh_cols[0], fresh_cols[1:], fresh_leads[1:]
+                _settle(head, k + 1, fresh_cols, fresh_leads, SearchStats(), {})
+            assert (cols, leads) == (fresh_cols, fresh_leads)
+            assert len(memo) <= minsupport._MEMO_CAP
+            _assert_staircase(rows, cols, leads, k + 1, forced)
+
+
+def test_bnb_memo_matches_the_reference_where_it_overflows(monkeypatch):
+    # J(8,2) i=2 computes 4,383 steps, many times the memo's cap: at each
+    # budget the bnb must give the reference's nodes, offers and witnesses,
+    # and the eliminations of a bnb whose memo recalls nothing
+    space = eigenspace_basis(JohnsonParams(8, 2), 2)
+    budgets = (1, 4_000, 50_000, minsupport.DEFAULT_NODE_BUDGET)
+    computed = []
+
+    def counting(*args):
+        computed.append(None)
+        return combine(*args)
+
+    monkeypatch.setattr(minsupport, "combine", counting)
+    memoized = []
+    for budget in budgets:
+        computed.clear()
+        memoized.append(min_support_bnb(space, node_budget=budget))
+    assert len(computed) > 4 * minsupport._MEMO_CAP
+    settle = minsupport._settle
+    monkeypatch.setattr(minsupport, "_settle", lambda *args: settle(*args[:-1], {}))
+    for budget, report in zip(budgets, memoized):
+        plain = min_support_bnb(space, node_budget=budget)
+        assert report.stats.eliminations == plain.stats.eliminations
+        assert _bnb_outcome(report) == _bnb_outcome(plain)
+        assert _bnb_outcome(report) == _bnb_outcome(reference_min_support_bnb(space, node_budget=budget))
+    stats = memoized[-1].stats
+    assert (stats.nodes, stats.eliminations) == (97_257, 29_954)
 
 
 @st.composite
