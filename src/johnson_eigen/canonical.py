@@ -10,33 +10,34 @@ minimum-support bound at eigenvalue index i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .combinatorics import binomial
-from .errors import ParameterError, SizeBudgetError, is_int
+from .errors import ParameterError, SizeBudgetError, checked_make, is_int
 from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction
 from .operators import swap_maps_to
 
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PairingConfig:
+class PairingConfig(namedtuple("PairingConfig", "pairs")):
     """i disjoint ordered coordinate pairs; the first element of each pair is the
     side that carries the minus sign."""
 
-    pairs: tuple[Pair, ...]
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if not (isinstance(self.pairs, tuple)
-                and all(isinstance(p, tuple) and len(p) == 2 and all(map(is_int, p)) for p in self.pairs)):
-            raise ParameterError(f"a pairing must be a tuple of pairs, each a tuple of two ints: {self.pairs!r}")
-        flat = [c for p in self.pairs for c in p]
+    def __new__(cls, pairs: tuple[Pair, ...]):
+        if not (isinstance(pairs, tuple)
+                and all(isinstance(p, tuple) and len(p) == 2 and all(map(is_int, p)) for p in pairs)):
+            raise ParameterError(f"a pairing must be a tuple of pairs, each a tuple of two ints: {pairs!r}")
+        flat = [c for p in pairs for c in p]
         if len(set(flat)) != len(flat):
-            raise ParameterError(f"pairing coordinates must be distinct: {self.pairs}")
+            raise ParameterError(f"pairing coordinates must be distinct: {pairs}")
         if any(c < 0 for c in flat):
-            raise ParameterError(f"negative coordinate in pairing: {self.pairs}")
+            raise ParameterError(f"negative coordinate in pairing: {pairs}")
+        return super().__new__(cls, pairs)
 
     @property
     def size(self) -> int:
@@ -107,10 +108,10 @@ def pairing_values(n: int, w: int, pairs) -> dict[int, int]:
     return entries
 
 
-@dataclass(frozen=True)
-class CanonicalMatch:
-    pairing: PairingConfig
-    scalar: Fraction
+class CanonicalMatch(namedtuple("CanonicalMatch", "pairing scalar")):
+    """f = scalar * the canonical function of pairing, scalar a Fraction."""
+
+    __slots__ = ()
 
 
 def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:

@@ -45,3 +45,9 @@ def check_rational(v):
     if not (is_int(v) or isinstance(v, Fraction)):
         raise ParameterError(f"value {v!r} is not an int or Fraction")
     return v
+
+
+def checked_make(cls, iterable):
+    """cls(*iterable): a checked record's _make, so that _make and _replace,
+    which a namedtuple builds through tuple.__new__, go through its __new__."""
+    return cls(*iterable)

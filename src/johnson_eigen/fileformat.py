@@ -121,4 +121,8 @@ def read_function(path: str) -> tuple[SparseFunction, int | None]:
         raise FunctionFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FunctionFileError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FunctionFileError(f"{path} is not valid UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise FunctionFileError(f"{path} nests too deeply to parse") from exc
     return document_to_function(doc)

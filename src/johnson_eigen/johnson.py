@@ -11,13 +11,13 @@ times the adds of a direct scatter and far fewer on eigenfunctions.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 
 from .combinatorics import MAX_COORDS, vertices_in_rank_order
-from .errors import ParameterError, ParamsMismatchError, check_rational, is_int
+from .errors import ParameterError, ParamsMismatchError, check_rational, checked_make, is_int
 
 Rational = Fraction | int
 
@@ -26,20 +26,20 @@ Rational = Fraction | int
 MAX_OUTPUT_TERMS = 1_000_000
 
 
-@dataclass(frozen=True)
-class JohnsonParams:
+class JohnsonParams(namedtuple("JohnsonParams", "n w")):
     """Parameters (n, w) of a Johnson graph: ints with 0 <= w <= n <= 64."""
 
-    n: int
-    w: int
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if not (is_int(self.n) and is_int(self.w)):
-            raise ParameterError(f"n and w must be ints, got n={self.n!r}, w={self.w!r}")
-        if not 0 <= self.w <= self.n:
-            raise ParameterError(f"need 0 <= w <= n, got n={self.n}, w={self.w}")
-        if self.n > MAX_COORDS:
-            raise ParameterError(f"n={self.n} exceeds the {MAX_COORDS}-coordinate limit")
+    def __new__(cls, n: int, w: int):
+        if not (is_int(n) and is_int(w)):
+            raise ParameterError(f"n and w must be ints, got n={n!r}, w={w!r}")
+        if not 0 <= w <= n:
+            raise ParameterError(f"need 0 <= w <= n, got n={n}, w={w}")
+        if n > MAX_COORDS:
+            raise ParameterError(f"n={n} exceeds the {MAX_COORDS}-coordinate limit")
+        return super().__new__(cls, n, w)
 
     @property
     def num_vertices(self) -> int:
@@ -147,7 +147,7 @@ class SparseFunction:
 
     def __add__(self, other: "SparseFunction") -> "SparseFunction":
         if self.params != other.params:
-            raise ParamsMismatchError(f"functions live on J{astuple(self.params)} and J{astuple(other.params)}")
+            raise ParamsMismatchError(f"functions live on J{tuple(self.params)} and J{tuple(other.params)}")
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         sums = {x: a * s for x, s in self.nums.items()}

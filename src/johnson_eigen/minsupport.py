@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from operator import neg
 
 from .canonical import match_canonical, support_size_bound
@@ -58,41 +58,53 @@ DEFAULT_WITNESS_CAP = 16
 _MEMO_CAP = 512
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    subsets: int = 0
-    elapsed: float = 0.0
-    # witness pool: calls to offer, and the distinct value vectors it kept
-    offered: int = 0
-    valued: int = 0
-    # elimination steps on two columns, computed or recalled: the bnb's _settle
-    # (memoized), the scan's _project and its last level
-    eliminations: int = 0
+    """The counters of a search, compared by value.
+
+    nodes: branch-and-bound nodes; subsets: (d-1)-subsets of the scan;
+    elapsed: seconds. offered and valued: the witness pool's calls to offer,
+    and the distinct value vectors it kept. eliminations: elimination steps
+    on two columns, computed or recalled: the bnb's _settle (memoized), the
+    scan's _project and its last level.
+    """
+
+    __slots__ = ("nodes", "subsets", "elapsed", "offered", "valued", "eliminations")
+
+    def __init__(self, nodes=0, subsets=0, elapsed=0.0, offered=0, valued=0, eliminations=0):
+        self.nodes, self.subsets, self.elapsed = nodes, subsets, elapsed
+        self.offered, self.valued, self.eliminations = offered, valued, eliminations
+
+    def __eq__(self, other):
+        if not isinstance(other, SearchStats):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        return f"SearchStats({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
 
 
-@dataclass
-class SearchReport:
+class SearchReport(namedtuple(
+    "SearchReport",
+    "params i lam min_support witnesses bound attained_by_canonical proven_optimal algorithm"
+    " all_witnesses_canonical stats",
+    defaults=(None, None),
+)):
     """Outcome of a minimum-support search.
 
-    attained_by_canonical: the minimum equals the bound and at least one
-    reported witness is a scalar multiple of a canonical function.
+    witnesses: a list of SparseFunction; min_support is None when no member
+    was found. attained_by_canonical: the minimum equals the bound and at
+    least one reported witness is a scalar multiple of a canonical function.
     all_witnesses_canonical: additionally every reported witness is one,
     i.e. the equality characterization held on everything the search found.
     Both stay None when optimality was not proven or matching was not run.
+    stats: a SearchStats, a new one for each report built without it.
     """
 
-    params: JohnsonParams
-    i: int
-    lam: int
-    min_support: int | None
-    witnesses: list[SparseFunction]
-    bound: int
-    attained_by_canonical: bool | None
-    proven_optimal: bool
-    algorithm: str
-    all_witnesses_canonical: bool | None = None
-    stats: SearchStats = field(default_factory=SearchStats)
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        return report if report.stats is not None else report._replace(stats=SearchStats())
 
 
 def _check_searchable(
@@ -290,7 +302,9 @@ def min_support_bnb(
     holds at most 512 columns of N integers whatever the node budget, and
     it still recalls 85% of the steps on J(8,2) i=2 (89% with no cap) and
     77% on J(7,3) i=3 (83%). stats.eliminations counts every step, computed
-    or recalled.
+    or recalled. The memo lives only for the call: visit's reference to
+    itself is broken before the return, so the memo, the columns and the
+    pool are freed then, not at the next cyclic collection.
 
     A node with as many frees as the limit is closed at once. Each of its
     free children, and those of every node below it, is pruned on entry, as
@@ -390,6 +404,7 @@ def min_support_bnb(
     for col in pool.columns():
         _settle(col, 0, cols, leads, stats, memo)
     visit(0, [], cols, leads, 0)
+    del visit  # visit refers to itself; breaking the cycle frees the memo, columns and pool on return
     if not exhausted and pool.best is None:
         raise ParameterError(f"upper_bound_hint {upper_bound_hint} is below the minimum support")
     return _report(space, pool, stats, t0, not exhausted, "bnb")
@@ -475,6 +490,7 @@ def _hyperplane_scan(cols: list[list[int]], pool) -> None:
                 walk(r + 1, projected)
 
     walk(0, cols)
+    del walk  # walk refers to itself; breaking the cycle frees the columns on return
 
 
 def verify_bound(
@@ -511,8 +527,8 @@ def verify_bound(
     if space.dimension >= 2 and math.comb(space.basis.rows, space.dimension - 1) <= subset_budget:
         hyper = min_support_hyperplane(space, subset_budget, witness_cap)
         algorithm = "bnb+hyperplane"
-        for f in fields(SearchStats):
-            setattr(report.stats, f.name, getattr(report.stats, f.name) + getattr(hyper.stats, f.name))
+        for name in SearchStats.__slots__:
+            setattr(report.stats, name, getattr(report.stats, name) + getattr(hyper.stats, name))
         if hyper.min_support != min_support and (
             report.proven_optimal or (min_support is not None and min_support < hyper.min_support)
         ):
@@ -533,8 +549,7 @@ def verify_bound(
         matches = [match_canonical(w, i) is not None for w in witnesses]
         attained = any(matches)
         all_canonical = bool(matches) and all(matches)
-    return replace(
-        report,
+    return report._replace(
         min_support=min_support,
         witnesses=witnesses,
         attained_by_canonical=attained,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError, SizeBudgetError, is_int
 from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, down_sums
@@ -145,11 +145,10 @@ def swap_maps_to(f: SparseFunction, a: int, b: int, sign: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(namedtuple("PartitionResult", "blocks")):
     """Coordinates grouped into maximal classes with all within-class reductions zero."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def t(self) -> int:

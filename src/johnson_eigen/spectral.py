@@ -10,12 +10,14 @@ functions of standard tableaux, so no dense matrix is eliminated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .canonical import pairing_values
 from .combinatorics import binomial, rank_subset
-from .errors import AmbiguousEigenvalueError, BasisCheckError, ParameterError, SizeBudgetError, check_rational, is_int
+from .errors import (
+    AmbiguousEigenvalueError, BasisCheckError, ParameterError, SizeBudgetError, check_rational, checked_make, is_int
+)
 from .exact_linalg import ExactMatrix, span_basis
 from .johnson import JohnsonParams, SparseFunction, adjacency_sums, neighbors
 
@@ -24,15 +26,13 @@ from .johnson import JohnsonParams, SparseFunction, adjacency_sums, neighbors
 DEFAULT_DENSE_BUDGET = 300
 
 
-@dataclass(frozen=True)
-class EigenvalueInfo:
-    i: int
-    lam: int
-    multiplicity: int
+class EigenvalueInfo(namedtuple("EigenvalueInfo", "i lam multiplicity")):
+    """The eigenvalue lam = lambda_i of index i and its multiplicity."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EigenVerdict:
+class EigenVerdict(namedtuple("EigenVerdict", "holds is_zero certificate", defaults=(None,))):
     """Result of checking lambda * f(x) = sum of f over neighbors at every relevant vertex.
 
     certificate is the first vertex in rank order where the equation fails,
@@ -40,9 +40,7 @@ class EigenVerdict:
     equation for every lambda and is flagged by is_zero.
     """
 
-    holds: bool
-    is_zero: bool
-    certificate: int | None = None
+    __slots__ = ()
 
 
 def eigenvalue(params: JohnsonParams, i: int) -> int:
@@ -81,18 +79,16 @@ def eigenvalue_index(params: JohnsonParams, lam: int) -> int:
     return hits[0]
 
 
-@dataclass(frozen=True)
-class EigenspaceBasis:
+class EigenspaceBasis(namedtuple("EigenspaceBasis", "params i lam basis")):
     """Exact basis of one eigenspace; rows of `basis` follow vertex rank order."""
 
-    params: JohnsonParams
-    i: int
-    lam: int
-    basis: ExactMatrix
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if self.basis.rows != self.params.num_vertices:
-            raise ParameterError(f"basis has {self.basis.rows} rows for {self.params.num_vertices} vertices")
+    def __new__(cls, params: JohnsonParams, i: int, lam: int, basis: ExactMatrix):
+        if basis.rows != params.num_vertices:
+            raise ParameterError(f"basis has {basis.rows} rows for {params.num_vertices} vertices")
+        return super().__new__(cls, params, i, lam, basis)
 
     @property
     def dimension(self) -> int:

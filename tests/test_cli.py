@@ -347,6 +347,19 @@ def test_bad_file_error(tmp_path, capsys):
     assert "error[BAD_FILE]" in err
 
 
+@pytest.mark.parametrize("content,reason", [
+    (b"\xff\xfe{}", "is not valid UTF-8"),
+    (b"[" * 100_000, "nests too deeply to parse"),
+])
+def test_undecodable_or_too_deep_file_is_bad_file(tmp_path, capsys, content, reason):
+    # these used to end in a UnicodeDecodeError or RecursionError traceback with exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = invoke(capsys, ["verify", "--func", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error[BAD_FILE] {bad} {reason}")
+
+
 def test_table_csv(tmp_path, capsys):
     out_csv = str(tmp_path / "table.csv")
     code, out, _ = invoke(capsys, ["table", "--max-n", "5", "--threads", "1", "--csv", out_csv])
