@@ -1,10 +1,13 @@
 """The extremal plus-minus-one eigenfunction built from i disjoint coordinate pairs.
 
-Given pairs (m_k, m'_k), the function is +-1 on vertices that take exactly one
-element from every pair (sign negative when the number of first elements taken
-is odd) and fill the remaining w-i ones outside the paired coordinates; it is
-zero elsewhere. Its support has size 2^i * C(n-2i, w-i) and it realizes the
-minimum-support bound at eigenvalue index i.
+It is the constant 1 on the (w-i)-subsets of the unpaired coordinates, lifted
+once per pair (a, b): vertex y goes to y+a with value -f(y) and to y+b with
+f(y), the step that reduction over (a, b) undoes up to a factor -2. So it is
++-1 on the vertices that take exactly one element from every pair (negative
+when they take an odd number of first elements) and zero elsewhere. Its
+support has size 2^i * C(n-2i, w-i), the minimum-support bound at index i.
+match_canonical recognizes a multiple of it without building it: once the
+negating pairs are found, f must be constant where it holds every second element.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ class PairingConfig(namedtuple("PairingConfig", "pairs")):
 
 def default_pairing(i: int) -> PairingConfig:
     """The reproducible default (0,1),(2,3),...,(2i-2,2i-1)."""
-    if not is_int(i):
-        raise ParameterError(f"pairing size must be an int, got {i!r}")
+    if not (is_int(i) and i >= 0):
+        raise ParameterError(f"pairing size, the index i, must be an int >= 0, got {i!r}")
     return PairingConfig(tuple((2 * k, 2 * k + 1) for k in range(i)))
 
 
@@ -93,19 +96,13 @@ def pairing_values(n: int, w: int, pairs) -> dict[int, int]:
     them; no vertex fits when w - len(pairs) > n - 2 len(pairs).
     """
     used = {c for p in pairs for c in p}
-    outside = [c for c in range(n) if c not in used]
-    entries: dict[int, int] = {}
-    for sides in itertools.product(*pairs):
-        base = 0
-        for c in sides:
-            base |= 1 << c
-        sign = -1 if sum(1 for c, p in zip(sides, pairs) if c == p[0]) % 2 else 1
-        for fill in itertools.combinations(outside, w - len(pairs)):
-            x = base
-            for c in fill:
-                x |= 1 << c
-            entries[x] = sign
-    return entries
+    outside = [1 << c for c in range(n) if c not in used]
+    values = dict.fromkeys(map(sum, itertools.combinations(outside, w - len(pairs))), 1)
+    for a, b in pairs:
+        # the lift over (a, b): y goes to y+a with value -f(y) and to y+b with f(y)
+        a, b = 1 << a, 1 << b
+        values = {x: v for y, u in values.items() for x, v in ((y | a, -u), (y | b, u))}
+    return values
 
 
 class CanonicalMatch(namedtuple("CanonicalMatch", "pairing scalar")):
@@ -119,13 +116,19 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
 
     None unless |supp f| is the bound. The candidate pairs are those whose
     transposition negates f: for a multiple of the canonical g of P they are
-    exactly P, and any other f fails the final comparison. They are disjoint:
-    if (a b) and (a c) negate f, a support vertex holds one of a, b and one of
-    a, c (a swap fixes the rest, so f = -f there), and either swap sends it
-    off the support, so f = 0. And supp f = supp g: negation by each pair puts
-    supp f in supp g, the vertices holding one element of every pair, of the
-    same size. For i >= 1 the pairing is normalized to a positive scalar, with
-    at most the last pair flipped from smaller-element-first order.
+    exactly P. They are disjoint: if (a b) and (a c) negate f, a support
+    vertex holds one of a, b and one of a, c (a swap fixes the rest, so
+    f = -f there), and either swap sends it off the support, so f = 0. And
+    supp f = supp g: negation by each pair puts supp f in supp g, the
+    vertices holding one element of every pair, of the same size. So one
+    constant decides f. Let x_b be x with each first element it holds
+    swapped for its partner: the swaps are disjoint transpositions that each
+    negate f, so f(x) = (-1)^k f(x_b), k the number of first elements in x.
+    The canonical g has the same signs and g(x_b) = 1, and every x_b is in
+    supp f = supp g. Hence f = s g exactly when f(x_b) = s for every x_b,
+    and nothing is built. For i >= 1 the pairing is normalized to a positive
+    scalar, with at most the last pair flipped from smaller-element-first
+    order.
     """
     n, w = f.params.n, f.params.w
     if f.is_zero():
@@ -139,19 +142,14 @@ def match_canonical(f: SparseFunction, i: int) -> CanonicalMatch | None:
     if len(pairs) != i:
         return None
 
-    candidate = PairingConfig(pairs)
-    g = build_canonical(f.params, candidate)
-    # g is +-1, so f = (s / f.den) g exactly when every f.nums[x] = s g(x)
-    x0 = min(f.nums)
-    s = f.nums[x0] * g.nums[x0]
-    if any(f.nums[x] != s * gv for x, gv in g.nums.items()):
+    seconds = sum(1 << b for _, b in pairs)
+    values = {v for x, v in f.nums.items() if x & seconds == seconds}
+    if len(values) != 1:
         return None
-    scalar = Fraction(s, f.den)
+    scalar = Fraction(values.pop(), f.den)
     if scalar < 0 and pairs:
         # flipping one pair negates the function; flip the last for canonical order
         last = pairs[-1]
         pairs = pairs[:-1] + ((last[1], last[0]),)
-        candidate = PairingConfig(pairs)
         scalar = -scalar
-    return CanonicalMatch(candidate, scalar)
-
+    return CanonicalMatch(PairingConfig(pairs), scalar)

@@ -14,12 +14,18 @@ import os
 from fractions import Fraction
 
 from .combinatorics import rank_subset, unrank_subset
-from .errors import FunctionFileError, ParameterError, is_int
+from .errors import FunctionFileError, ParameterError, SizeBudgetError, is_int
 from .johnson import JohnsonParams, SparseFunction
 
 
 def rational_to_string(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    """v as "p/q", or "p" when q is 1; SizeBudgetError if p or q has more
+    digits than the interpreter converts to a string, as induce and reduce
+    can make from values the reader accepts."""
+    try:
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    except ValueError as exc:
+        raise SizeBudgetError("a value has too many digits to write as a string") from exc
 
 
 def function_to_document(f: SparseFunction, lambda_index: int | None = None) -> dict:
@@ -33,6 +39,12 @@ def function_to_document(f: SparseFunction, lambda_index: int | None = None) -> 
         "lambda_index": lambda_index,
         "entries": entries,
     }
+
+
+def _brief(item) -> str:
+    """repr(item), cut to 60 characters ending in "..." when longer."""
+    text = repr(item)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def document_to_function(doc) -> tuple[SparseFunction, int | None]:
@@ -62,23 +74,27 @@ def document_to_function(doc) -> tuple[SparseFunction, int | None]:
     prev_rank = -1
     for item in entries:
         if not (isinstance(item, list) and len(item) == 2):
-            raise FunctionFileError(f"bad entry {item!r}")
+            raise FunctionFileError(f"bad entry {_brief(item)}")
         r, s = item
         if not is_int(r) or not 0 <= r < nverts:
-            raise FunctionFileError(f"rank {r!r} out of range 0..{nverts - 1}")
+            raise FunctionFileError(f"rank {_brief(r)} out of range 0..{nverts - 1}")
         if r <= prev_rank:
             raise FunctionFileError("ranks must be strictly increasing")
         prev_rank = r
         if not isinstance(s, str):
-            raise FunctionFileError(f"value {s!r} must be a rational string")
+            raise FunctionFileError(f"value {_brief(s)} must be a rational string")
+        # only digits, "-" and "/" can be canonical; Fraction would also expand an
+        # exponent, which for "1e999999999" takes minutes and gigabytes
+        if s.strip("-/0123456789"):
+            raise FunctionFileError(f"bad rational {_brief(s)}")
         try:
             v = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FunctionFileError(f"bad rational {s!r}") from exc
+            raise FunctionFileError(f"bad rational {_brief(s)}") from exc
         if v == 0:
             raise FunctionFileError("zero values must not be stored")
         if rational_to_string(v) != s:
-            raise FunctionFileError(f"rational {s!r} is not in canonical lowest terms")
+            raise FunctionFileError(f"rational {_brief(s)} is not in canonical lowest terms")
         table[unrank_subset(r, n, w)] = v
     return SparseFunction(params, table), lam_index
 
@@ -116,13 +132,17 @@ def write_function(path: str, f: SparseFunction, lambda_index: int | None = None
 def read_function(path: str) -> tuple[SparseFunction, int | None]:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise FunctionFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FunctionFileError(f"{path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FunctionFileError(f"{path} is not valid UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FunctionFileError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an int with more digits than the interpreter converts
+        raise FunctionFileError(f"{path} holds a number with too many digits") from exc
     except RecursionError as exc:
         raise FunctionFileError(f"{path} nests too deeply to parse") from exc
     return document_to_function(doc)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from johnson_eigen import (
+    CanonicalMatch,
     JohnsonParams,
     PairingConfig,
     ParameterError,
@@ -19,6 +20,7 @@ from johnson_eigen import (
     match_canonical,
     support_size_bound,
 )
+from johnson_eigen import canonical
 from johnson_eigen.operators import swap_maps_to
 
 from conftest import V, make_rng, reference_match_canonical
@@ -43,6 +45,30 @@ def test_build_examples():
 
     h = build_canonical(JohnsonParams(4, 2), PairingConfig(()))
     assert h == SparseFunction.constant(JohnsonParams(4, 2), 1)
+
+
+def test_canonical_values_follow_the_pairs():
+    # the lifts give +-1 exactly on the vertices holding one element of every
+    # pair, negative when they hold an odd number of first elements
+    rng = make_rng(11)
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        i = rng.randint(0, n // 2)
+        p = JohnsonParams(n, rng.randint(i, n - i))
+        pairing = random_pairing(rng, n, i)
+        expected = {}
+        for x in p.vertices():
+            held = [(x >> a & 1, x >> b & 1) for a, b in pairing.pairs]
+            if all(ha != hb for ha, hb in held):
+                expected[x] = (-1) ** sum(ha for ha, _ in held)
+        assert build_canonical(p, pairing).entries == expected, (n, p.w, pairing)
+
+
+def test_default_pairing_rejects_a_negative_size():
+    # default_pairing(-1) used to return the empty pairing
+    for i in (-1, -4):
+        with pytest.raises(ParameterError, match=f"index i, must be an int >= 0, got {i}$"):
+            default_pairing(i)
 
 
 def test_bound_examples():
@@ -196,6 +222,29 @@ def test_match_rejects_non_canonical_same_size():
     x = V([0, 2])
     broken[x] = Fraction(2)
     assert match_canonical(SparseFunction(p, broken), 1) is None
+
+
+def test_match_canonical_builds_nothing(monkeypatch):
+    # it used to build the candidate canonical function and compare it entry by entry
+    p = JohnsonParams(8, 3)
+    f = build_canonical(p, PairingConfig(((0, 5), (3, 1))))
+    doubled = SparseFunction(p, {x: 2 * v if x >> 7 & 1 else v for x, v in f.entries.items()})
+    negated = dict(f.entries)
+    negated[min(negated)] *= -1
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("match_canonical built a canonical function")
+
+    monkeypatch.setattr(canonical, "build_canonical", unreachable)
+    monkeypatch.setattr(canonical, "pairing_values", unreachable)
+    assert match_canonical(f.scale(-3), 2) == CanonicalMatch(PairingConfig(((0, 5), (1, 3))), 3)
+    assert match_canonical(f, 2) == CanonicalMatch(PairingConfig(((0, 5), (3, 1))), 1)
+    # every pair still negates it, but it is not constant where it holds 5 and 3
+    assert negating_pairs(doubled) == [(0, 5), (1, 3)]
+    assert match_canonical(doubled, 2) is None
+    assert match_canonical(SparseFunction(p, negated), 2) is None
+    assert match_canonical(SparseFunction.constant(p, Fraction(-2, 3)), 0) == \
+        CanonicalMatch(PairingConfig(()), Fraction(-2, 3))
 
 
 def test_match_zero_function_rejected():

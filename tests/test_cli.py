@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,14 @@ def test_canonical_rejects_a_malformed_pair(capsys, pairs, message):
     assert invoke(capsys, argv) == (2, "", f"error[USAGE] {message}\n")
 
 
+def test_canonical_with_a_negative_index_is_usage_error(capsys):
+    # it used to say "--pairs gives 0 pairs but --i is -1" with no --pairs given
+    code, out, err = invoke(capsys, ["canonical", "--n", "4", "--w", "2", "--i", "-1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[USAGE]") and "index" in err and "-1" in err
+    assert "--pairs" not in err
+
+
 def test_verify_without_an_index_is_usage_error(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"n": 5, "w": 2, "entries": [[0, "1"]]}')
@@ -358,6 +367,51 @@ def test_undecodable_or_too_deep_file_is_bad_file(tmp_path, capsys, content, rea
     code, out, err = invoke(capsys, ["verify", "--func", str(bad)])
     assert code == 2 and out == ""
     assert err.startswith(f"error[BAD_FILE] {bad} {reason}")
+
+
+def test_a_number_too_long_to_parse_is_bad_file(tmp_path, capsys):
+    # json raises a bare ValueError for an int past the interpreter's digit
+    # limit, which used to end in a traceback and exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 5, "w": 2, "entries": [[' + "1" * 5000 + ', "1"]]}')
+    assert invoke(capsys, ["verify", "--func", str(bad)]) == (
+        2, "", f"error[BAD_FILE] {bad} holds a number with too many digits\n")
+
+
+def _nested(depth):
+    item = 0
+    for _ in range(depth):
+        item = [item]
+    return item
+
+
+@pytest.mark.parametrize("entry", [
+    _nested(900), [_nested(900), "1"], [0, _nested(900)], [0, "1/" + "7" * 5000],
+], ids=["entry", "rank", "value", "rational"])
+def test_bad_file_errors_echo_a_short_item(tmp_path, capsys, entry):
+    # each used to echo the whole item, in error lines of 1,826 to 5,033 characters
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 5, "w": 2, "entries": [entry]}))
+    code, out, err = invoke(capsys, ["verify", "--func", str(bad), "--i", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[BAD_FILE] ") and err.count("\n") == 1 and len(err) < 200
+    assert "..." in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter converts ints of any length to strings")
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_value_too_long_to_write_is_size_limit(tmp_path, capsys, to_file):
+    # the reader takes values of the interpreter's full digit limit, but induce
+    # adds two of them into one digit more; writing that used to end in a
+    # ValueError traceback and exit 1
+    digits = "9" * sys.get_int_max_str_digits()
+    src, dst = tmp_path / "f.json", tmp_path / "g.json"
+    src.write_text(json.dumps({"n": 5, "w": 2, "entries": [[0, digits], [1, digits]]}))
+    argv = ["induce", "--func", str(src), "--target-w", "3"] + (["--out", str(dst)] if to_file else [])
+    assert invoke(capsys, argv) == (
+        2, "", "error[SIZE_LIMIT] a value has too many digits to write as a string\n")
+    assert not dst.exists()
 
 
 def test_table_csv(tmp_path, capsys):

@@ -125,6 +125,15 @@ def test_reader_rejects_an_entry_that_is_not_a_two_item_list(item):
         document_to_function(doc)
 
 
+@pytest.mark.parametrize("value", ["1e5000", "1.5", " 1", "1_0", "+1"])
+def test_reader_parses_only_the_canonical_alphabet(value):
+    # Fraction takes these too; "1e5000" used to expand to a 5,001-digit numerator
+    # and end in a ValueError from the canonical-form check
+    doc = {"n": 5, "w": 2, "entries": [[0, value]]}
+    with pytest.raises(FunctionFileError, match="^" + re.escape(f"bad rational {value!r}") + "$"):
+        document_to_function(doc)
+
+
 def test_reader_rejects_bad_files(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(FunctionFileError):

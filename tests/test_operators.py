@@ -336,15 +336,23 @@ def test_factorial_chain_identity():
 
 
 def test_reduce_induce_interplay():
-    # reducing the induced canonical function on its first pair gives (-2) times
-    # the canonical function with the remaining pairs on the smaller graph
-    for n in range(5, 9):
-        i = 2
-        for w in range(i, min(n, i + (n - 2 * i)) + 1):
-            f = build_canonical(JohnsonParams(n, w), PairingConfig(((0, 1), (2, 3))))
-            r = reduce(f, 0, 1)
-            expected = build_canonical(JohnsonParams(n - 2, w - 1), PairingConfig(((0, 1),))).scale(-2)
-            assert r == expected
+    # the canonical function of P is the one of P minus (a, b), lifted over (a, b);
+    # reducing over (a, b) undoes the lift up to -2, and over (b, a) up to +2, with
+    # the other pairs renumbered to the survivors of J(n-2, w-1)
+    rng = make_rng(29)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        i = rng.randint(1, n // 2)
+        w = rng.randint(i, n - i)
+        coords = rng.sample(range(n), 2 * i)
+        pairs = list(zip(coords[::2], coords[1::2]))
+        f = build_canonical(JohnsonParams(n, w), PairingConfig(tuple(pairs)))
+        for k, (a, b) in enumerate(pairs):
+            position = {c: q for q, c in enumerate(survivor_coordinates(n, [(a, b)]))}
+            rest = tuple((position[c], position[d]) for c, d in pairs[:k] + pairs[k + 1:])
+            lifted = build_canonical(JohnsonParams(n - 2, w - 1), PairingConfig(rest))
+            assert reduce(f, a, b) == lifted.scale(-2), (n, w, pairs, k)
+            assert reduce(f, b, a) == lifted.scale(2), (n, w, pairs, k)
 
 
 @st.composite
