@@ -23,7 +23,6 @@ from .combinatorics import (
     vertices_in_rank_order,
 )
 from .errors import (
-    AmbiguousEigenvalueError,
     BasisCheckError,
     FunctionFileError,
     JohnsonEigenError,

@@ -163,6 +163,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_canonical(args) -> int:
     params = JohnsonParams(args.n, args.w)
+    if args.i > params.w:  # before default_pairing builds args.i pairs
+        raise ParameterError(f"pairing size {args.i} exceeds weight {params.w}")
     pairing = _parse_pairs(args.pairs) if args.pairs else default_pairing(args.i)
     if pairing.size != args.i:
         raise ParameterError(f"--pairs gives {pairing.size} pairs but --i is {args.i}")

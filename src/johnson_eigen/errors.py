@@ -27,10 +27,6 @@ class FunctionFileError(JohnsonEigenError):
     """A malformed sparse-function file, or a file that cannot be read or written."""
 
 
-class AmbiguousEigenvalueError(JohnsonEigenError):
-    """An eigenvalue occurs at more than one spectral index on this graph."""
-
-
 class BasisCheckError(JohnsonEigenError):
     """A generated eigenspace basis failed its eigen-check or its rank check."""
 

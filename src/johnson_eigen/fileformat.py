@@ -42,8 +42,11 @@ def function_to_document(f: SparseFunction, lambda_index: int | None = None) -> 
 
 
 def _brief(item) -> str:
-    """repr(item), cut to 60 characters ending in "..." when longer."""
-    text = repr(item)
+    """repr(item), cut to 60 characters ending in "..." when longer, or "<unprintable>"."""
+    try:
+        text = repr(item)
+    except Exception:  # ValueError past the int digit limit, RecursionError on deep nesting
+        return "<unprintable>"
     return text if len(text) <= 60 else text[:57] + "..."
 
 

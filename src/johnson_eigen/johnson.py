@@ -17,12 +17,12 @@ from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 
 from .combinatorics import MAX_COORDS, vertices_in_rank_order
-from .errors import ParameterError, ParamsMismatchError, check_rational, checked_make, is_int
+from .errors import ParameterError, ParamsMismatchError, SizeBudgetError, check_rational, checked_make, is_int
 
 Rational = Fraction | int
 
-# The most terms a constructor or operator may enumerate for one function:
-# the support of build_canonical, the (vertex, superset) pairs of induce.
+# The most terms a constructor or operator may enumerate for one function: the
+# support of build_canonical and constant, the (vertex, superset) pairs of induce.
 MAX_OUTPUT_TERMS = 1_000_000
 
 
@@ -112,6 +112,10 @@ class SparseFunction:
 
     @classmethod
     def constant(cls, params: JohnsonParams, value: Rational) -> "SparseFunction":
+        if params.num_vertices > MAX_OUTPUT_TERMS:
+            raise SizeBudgetError(
+                f"J({params.n},{params.w}) has {params.num_vertices} vertices, over the cap {MAX_OUTPUT_TERMS}"
+            )
         return cls(params, ((x, value) for x in params.vertices()))
 
     def __call__(self, x: int) -> Fraction:

@@ -1,6 +1,6 @@
 """Closed-form spectrum of J(n,w), exact eigenspace bases, and eigenfunction checks.
 
-The eigenvalues are lambda_i = (w-i)(n-w-i) - i for i = 0..w with
+The eigenvalues are lambda_i = (w-i)(n-w-i) - i for i = 0..min(w, n-w), with
 multiplicity C(n,i) - C(n,i-1). Eigenspace bases are exact and, over the
 vertices in combinadic rank order, bit for bit the canonical
 nullspace(A - lambda_i I); they are built from the checked canonical +-1
@@ -15,9 +15,7 @@ from fractions import Fraction
 
 from .canonical import pairing_values
 from .combinatorics import binomial, rank_subset
-from .errors import (
-    AmbiguousEigenvalueError, BasisCheckError, ParameterError, SizeBudgetError, check_rational, checked_make, is_int
-)
+from .errors import BasisCheckError, ParameterError, SizeBudgetError, check_rational, checked_make, is_int
 from .exact_linalg import ExactMatrix, span_basis
 from .johnson import JohnsonParams, SparseFunction, adjacency_sums, neighbors
 
@@ -52,31 +50,23 @@ def eigenvalue(params: JohnsonParams, i: int) -> int:
 
 
 def spectrum(params: JohnsonParams) -> list[EigenvalueInfo]:
-    """Eigenvalues and multiplicities of J(n,w), ordered by index i = 0..w."""
+    """The distinct eigenvalues of J(n,w) and their multiplicities, by index i = 0..min(w, n-w)."""
     n, w = params.n, params.w
     return [
-        EigenvalueInfo(i, eigenvalue(params, i), binomial(n, i) - binomial(n, i - 1))
-        for i in range(w + 1)
+        EigenvalueInfo(i, eigenvalue(params, i), eigenspace_dimension(params, i))
+        for i in range(min(w, n - w) + 1)
     ]
 
 
 def eigenvalue_index(params: JohnsonParams, lam: int) -> int:
-    """The index i with lambda_i = lam; raises if lam is ambiguous or absent.
-
-    For n >= 2w the map i -> lambda_i is strictly decreasing, so the lookup
-    is total on the spectrum; smaller n can collide and then the caller must
-    supply the index explicitly.
-    """
+    """The index i with lambda_i = lam, unique since lambda_0 > ... > lambda_m are the
+    whole spectrum (eigenspace_dimension); ParameterError if lam is not an eigenvalue."""
     if not is_int(lam):
         raise ParameterError(f"eigenvalue {lam!r} is not an int")
-    hits = [info.i for info in spectrum(params) if info.lam == lam]
-    if not hits:
-        raise ParameterError(f"{lam} is not an eigenvalue of J({params.n},{params.w})")
-    if len(hits) > 1:
-        raise AmbiguousEigenvalueError(
-            f"eigenvalue {lam} of J({params.n},{params.w}) occurs at indices {hits}; pass i explicitly"
-        )
-    return hits[0]
+    for info in spectrum(params):
+        if info.lam == lam:
+            return info.i
+    raise ParameterError(f"{lam} is not an eigenvalue of J({params.n},{params.w})")
 
 
 class EigenspaceBasis(namedtuple("EigenspaceBasis", "params i lam basis")):
@@ -122,49 +112,49 @@ def adjacency_matrix(params: JohnsonParams) -> ExactMatrix:
     return ExactMatrix(nverts, nverts, data)
 
 
-def _shape(params: JohnsonParams, i: int) -> int | None:
-    """The j <= m = min(w, n-w) with lambda_j = lambda_i, or None; lambda_0 > ... > lambda_m."""
-    n, w = params.n, params.w
-    lam = eigenvalue(params, i)
-    return next((j for j in range(min(w, n - w) + 1) if eigenvalue(params, j) == lam), None)
-
-
 def eigenspace_dimension(params: JohnsonParams, i: int) -> int:
-    """Dimension of the lambda_i eigenspace, for any size: C(n,j) - C(n,j-1) for
-    the shape (n-j, j) with lambda_j = lambda_i, or 0 if there is none."""
-    j = _shape(params, i)
-    return 0 if j is None else binomial(params.n, j) - binomial(params.n, j - 1)
+    """Dimension of the lambda_i eigenspace, for any size: C(n,i) - C(n,i-1),
+    the shape (n-i, i), when i <= m = min(w, n-w), and 0 otherwise.
+
+    Proof. lambda_t = p(t) = (w-t)(n-w-t) - t, and p(i) - p(j) = (i-j)(i+j-n-1).
+    For j <= m and i <= w, i + j <= w + (n-w) = n, so p(i) = p(j) only when
+    i = j, and p(i) < p(j) when i > j: lambda_0 > ... > lambda_m, and no
+    lambda_i with m < i <= w equals one of them. For each j <= m the standard
+    tableaux of shape (n-j, j) span C(n,j) - C(n,j-1) dimensions of the
+    lambda_j eigenspace (James's standard basis theorem; eigenspace_basis
+    checks it when it builds one). Eigenspaces of distinct eigenvalues are
+    independent, and these spans sum to C(n,m) = C(n,w), the whole space: so
+    they are the eigenspaces, and lambda_i for i > m has none.
+    """
+    eigenvalue(params, i)  # checks i
+    n, w = params.n, params.w
+    return binomial(n, i) - binomial(n, i - 1) if i <= min(w, n - w) else 0
 
 
 def eigenspace_basis(params: JohnsonParams, i: int) -> EigenspaceBasis:
     """Exact basis of the lambda_i eigenspace, equal bit for bit to nullspace(A - lambda_i I).
 
     Each call builds a new basis; J(n,w) may have at most
-    DEFAULT_DENSE_BUDGET vertices. The eigenspace is zero unless lambda_i =
-    lambda_j for some j <= m = min(w, n-w). The generators come from the
-    standard Young tableaux of shape (n-j, j) on the coordinates: the second
-    row is b_0 < ... < b_{j-1} with b_k >= 2k+1, and a_k, the k-th smallest
+    DEFAULT_DENSE_BUDGET vertices. The eigenspace is zero unless i <= m =
+    min(w, n-w) (eigenspace_dimension). The generators come from the
+    standard Young tableaux of shape (n-i, i) on the coordinates: the second
+    row is b_0 < ... < b_{i-1} with b_k >= 2k+1, and a_k, the k-th smallest
     coordinate outside {b}, tops column k. The canonical +-1 function of the
     pairs (a_k, b_k) is the tableau's standard polytabloid (James 1978).
 
     Proof that they span the eigenspace: every generator passes the integer
-    eigen-check, and span_basis checks that they span eigenspace_dimension
-    = C(n,j) - C(n,j-1) dimensions, the number of these tableaux. The same
-    construction gives every lambda_k, k <= m, a span of C(n,k) - C(n,k-1)
-    dimensions (James's standard basis theorem, and checked the same way
-    whenever that eigenspace is built); these sum to C(n,m) = C(n,w), and
-    eigenspaces of distinct eigenvalues are independent, so none is larger
-    than its generated span.
+    eigen-check, and span_basis checks that they span C(n,i) - C(n,i-1)
+    dimensions, the number of these tableaux and the eigenspace's dimension.
     """
     n, w = params.n, params.w
     lam = eigenvalue(params, i)
     nverts = _check_budget(params)
-    j = _shape(params, i)
-    if j is None:
+    dim = eigenspace_dimension(params, i)
+    if not dim:
         return EigenspaceBasis(params, i, lam, ExactMatrix(nverts, 0, []))
     index = {x: r for r, x in enumerate(params.vertices())}
     rows = []
-    for second in itertools.combinations(range(n), j):
+    for second in itertools.combinations(range(n), i):
         if any(b < 2 * k + 1 for k, b in enumerate(second)):
             continue
         first = [c for c in range(n) if c not in second]
@@ -175,7 +165,7 @@ def eigenspace_basis(params: JohnsonParams, i: int) -> EigenspaceBasis:
         for x, v in values.items():
             row[index[x]] = v
         rows.append(row)
-    return EigenspaceBasis(params, i, lam, span_basis(rows, nverts, eigenspace_dimension(params, i)))
+    return EigenspaceBasis(params, i, lam, span_basis(rows, nverts, dim))
 
 
 def _failing_vertices(nums: dict[int, int], n: int, lam: int) -> list[int]:

@@ -3,14 +3,15 @@
 Each test prints a PASS line directly to the terminal when its criterion
 holds; a failing criterion fails the test itself.
 
-Note on criterion 1: the per-index identity dim = C(n,i) - C(n,i-1) is a
-theorem only for i <= n-w. For w > n-w the index range i <= w continues past
-the end of the true spectrum and produces eigenvalue duplicates and even
-negative formula values (J(2,2) index 1 claims multiplicity 1 for -2, which
-is not an eigenvalue of a one-vertex graph). The test therefore checks the
-identity on its valid domain, and on the full stated range checks the
-corrected statement: the computed kernel dimension equals the total true
-multiplicity of that eigenvalue (see README, Guarantees and limits).
+Note on criterion 1: lambda_i is an eigenvalue of J(n,w) exactly when
+i <= m = min(w, n-w), with multiplicity C(n,i) - C(n,i-1). Past m the
+closed form repeats values and the multiplicity formula can go negative,
+and none of those values is an eigenvalue (J(2,2) index 1 gives -2, which
+is not an eigenvalue of a one-vertex graph). spectral.eigenspace_dimension proves
+this, and spectrum lists i = 0..m only. The test checks the identity on
+i <= m, and on the full index range i <= w that the computed kernel
+dimension equals the total multiplicity of the value among lambda_0..lambda_m,
+which is 0 past m (see README, Guarantees and limits).
 """
 
 import json

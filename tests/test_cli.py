@@ -196,6 +196,17 @@ def test_canonical_with_a_negative_index_is_usage_error(capsys):
     assert "--pairs" not in err
 
 
+def test_canonical_refuses_an_index_over_w_before_it_builds_a_pairing(capsys, monkeypatch):
+    # --i 2000000 used to build two million default pairs (2.4 s, 499 MiB) before
+    # build_canonical compared the pairing size with w
+    def never(i):
+        raise AssertionError(f"default_pairing({i}) was called")
+
+    monkeypatch.setattr(cli, "default_pairing", never)
+    assert invoke(capsys, ["canonical", "--n", "5", "--w", "2", "--i", "2000000"]) == (
+        2, "", "error[USAGE] pairing size 2000000 exceeds weight 2\n")
+
+
 def test_verify_without_an_index_is_usage_error(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"n": 5, "w": 2, "entries": [[0, "1"]]}')

@@ -134,6 +134,19 @@ def test_reader_parses_only_the_canonical_alphabet(value):
         document_to_function(doc)
 
 
+@pytest.mark.parametrize("place", ["rank", "entry", "value", "nested"])
+def test_reader_quotes_an_item_that_repr_cannot_show(place):
+    # repr raises ValueError on 10**5000 and RecursionError on 5,000 nested
+    # lists, and the quoting of the bad item used to let both out of document_to_function
+    huge, nested = 10 ** 5000, []
+    for _ in range(5000):
+        nested = [nested]
+    entry = {"rank": [huge, "1"], "entry": [huge], "value": [0, huge], "nested": nested}[place]
+    with pytest.raises(FunctionFileError) as info:
+        document_to_function({"n": 5, "w": 2, "entries": [entry]})
+    assert "<unprintable>" in str(info.value) and len(str(info.value)) < 100
+
+
 def test_reader_rejects_bad_files(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(FunctionFileError):

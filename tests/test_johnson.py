@@ -12,6 +12,7 @@ from johnson_eigen import (
     PairingConfig,
     ParameterError,
     ParamsMismatchError,
+    SizeBudgetError,
     SparseFunction,
     adjacent,
     apply_adjacency,
@@ -123,6 +124,14 @@ def test_sparse_function_arithmetic():
     assert (-f)(V([0, 1])) == -1
     with pytest.raises(ParamsMismatchError):
         f + SparseFunction(JohnsonParams(5, 2), {V([0, 1]): 1})
+
+
+def test_constant_refuses_more_vertices_than_the_output_cap():
+    # J(30,15) has 155,117,520 vertices; constant used to enumerate them all
+    with pytest.raises(SizeBudgetError, match=r"^J\(30,15\) has 155117520 vertices, over the cap 1000000$"):
+        SparseFunction.constant(JohnsonParams(30, 15), 1)
+    ones = SparseFunction.constant(JohnsonParams(6, 3), Fraction(1, 2))
+    assert ones.support_size == 20 and set(ones.entries.values()) == {Fraction(1, 2)}
 
 
 def test_apply_adjacency_examples():

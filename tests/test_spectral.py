@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from johnson_eigen import (
-    AmbiguousEigenvalueError,
     BasisCheckError,
     EigenspaceBasis,
     ExactMatrix,
@@ -29,6 +28,7 @@ from johnson_eigen import (
     is_eigenfunction,
     nullspace,
     spectrum,
+    support_size_bound,
     exact_linalg,
     spectral,
 )
@@ -44,6 +44,25 @@ def test_spectrum_examples():
         (0, 9, 1), (1, 3, 5), (2, -1, 9), (3, -3, 5),
     ]
     assert [(e.i, e.lam, e.multiplicity) for e in spectrum(JohnsonParams(7, 0))] == [(0, 0, 1)]
+    # for 2w > n the spectrum ends at n-w: the rows (2, -3, 2) and (3, -3, -2) of
+    # J(4,3), and (2, -4, 5), (3, -5, 0), (4, -4, -5) of J(5,4), were not eigenvalues
+    assert [(e.i, e.lam, e.multiplicity) for e in spectrum(JohnsonParams(4, 3))] == [(0, 3, 1), (1, -1, 3)]
+    assert [(e.i, e.lam, e.multiplicity) for e in spectrum(JohnsonParams(5, 4))] == [(0, 4, 1), (1, -1, 4)]
+
+
+def test_the_spectrum_is_lambda_0_to_lambda_min_w_n_minus_w():
+    # eigenspace_dimension proves it; checked here on every graph the package takes
+    for n in range(65):
+        for w in range(n + 1):
+            p, m = JohnsonParams(n, w), min(w, n - w)
+            for i in range(w + 1):
+                assert (eigenspace_dimension(p, i) > 0) == (i <= m) == (support_size_bound(n, w, i) > 0), (n, w, i)
+            infos = spectrum(p)
+            assert [e.i for e in infos] == list(range(m + 1))
+            assert all(a.lam > b.lam for a, b in zip(infos, infos[1:])), (n, w)
+            assert all(e.multiplicity > 0 for e in infos), (n, w)
+            assert sum(e.multiplicity for e in infos) == binomial(n, w), (n, w)
+            assert all(eigenvalue_index(p, e.lam) == e.i for e in infos), (n, w)
 
 
 def test_formula_multiplicities_telescope():
@@ -96,9 +115,11 @@ def test_eigenvalue_index_lookup():
     assert eigenvalue_index(p, 1) == 1
     with pytest.raises(Exception):
         eigenvalue_index(p, 7)
-    # J(4,3) has lambda_2 = lambda_3 = -3: ambiguous
-    with pytest.raises(AmbiguousEigenvalueError):
-        eigenvalue_index(JohnsonParams(4, 3), -3)
+    # J(4,3) has lambda_2 = lambda_3 = -3, J(5,4) lambda_3 = -5 and lambda_2 =
+    # lambda_4 = -4; the spectrum ends at min(w, n-w) = 1, so none is an eigenvalue
+    for n, w, lam in [(4, 3, -3), (5, 4, -5), (5, 4, -4)]:
+        with pytest.raises(ParameterError, match=rf"^{lam} is not an eigenvalue of J\({n},{w}\)$"):
+            eigenvalue_index(JohnsonParams(n, w), lam)
 
 
 @pytest.mark.parametrize("i", [1.0, True, "1"])
