@@ -31,7 +31,7 @@ from .errors import (
     ParamsMismatchError,
     SizeBudgetError,
 )
-from .exact_linalg import ExactMatrix, nullspace, rank
+from .exact_linalg import ExactMatrix, nullspace
 from .fileformat import read_function, write_function
 from .johnson import (
     JohnsonParams,

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over rationals: rank and canonical nullspace.
+"""Exact dense linear algebra over rationals: integer echelon and canonical nullspace.
 
 combine is the package's one elimination step, the cross-multiplication of
 two integer vectors that clears one entry; the minimum-support searches use
@@ -132,11 +132,6 @@ class IntEchelon:
         """
         jordan = IntEchelon(self.width, reversed(self.rows))
         return sorted(zip(jordan.pivots, jordan.rows))
-
-
-def rank(m: ExactMatrix) -> int:
-    """Exact rank over the rationals."""
-    return IntEchelon(m.cols, m.integer_rows()).rank
 
 
 def nullspace(m: ExactMatrix) -> ExactMatrix:

@@ -64,8 +64,8 @@ class SearchStats:
     nodes: branch-and-bound nodes; subsets: (d-1)-subsets of the scan;
     elapsed: seconds. offered and valued: the witness pool's calls to offer,
     and the distinct value vectors it kept. eliminations: elimination steps
-    on two columns, computed or recalled: the bnb's _settle (memoized), the
-    scan's _project and its last level.
+    on two columns, computed or recalled: the bnb's _settle (memoized), not
+    its starting echelon, and the scan's _project and its last level.
     """
 
     __slots__ = ("nodes", "subsets", "elapsed", "offered", "valued", "eliminations")
@@ -207,30 +207,27 @@ def _settle(
 class _WitnessPool:
     """Distinct minimum-support value vectors, deduplicated up to scalar.
 
-    The basis must have full column rank (the lemma in the module docstring
-    needs it too); ParameterError is raised otherwise. Both searches run on
-    its rows scaled by the lcm of all its denominators, a positive scaling
-    that changes no zero test, and offer the value vectors of their
-    candidates on those rows. A vector is kept divided by its gcd with a
-    positive value at the lowest-rank support vertex, so two offers of the
-    same member up to scalar are kept once. As c -> basis @ c is injective,
-    these keys correspond one to one with the candidates' kernel normals.
+    Both searches run on the basis scaled by the lcm of all its
+    denominators, a positive scaling that changes no zero test, and offer
+    the value vectors of their candidates on its rows. columns holds its
+    columns and echelon their IntEchelon, whose rank must be full (the lemma
+    in the module docstring needs it too); ParameterError is raised
+    otherwise. A vector is kept divided by its gcd with a positive value at
+    the lowest-rank support vertex, so two offers of the same member up to
+    scalar are kept once. As c -> basis @ c is injective, these keys
+    correspond one to one with the candidates' kernel normals.
     """
 
     def __init__(self, basis, cap: int, stats: SearchStats):
-        self.rows = basis.integer_rows()
-        ech = IntEchelon(basis.cols, self.rows)
-        if ech.rank < basis.cols:
-            raise ParameterError(f"basis has rank {ech.rank}, below its {basis.cols} columns")
+        self.columns = [list(col) for col in zip(*basis.integer_rows())]
+        self.echelon = IntEchelon(basis.rows, self.columns)
+        if self.echelon.rank < basis.cols:
+            raise ParameterError(f"basis has rank {self.echelon.rank}, below its {basis.cols} columns")
         self.cap = cap
         self.stats = stats
         self.best: int | None = None
         # the normalized value vectors at the best support so far
         self.vectors: set[tuple[int, ...]] = set()
-
-    def columns(self) -> list[list[int]]:
-        """The projected columns of no forced rows: the columns of the scaled basis."""
-        return [list(col) for col in zip(*self.rows)]
 
     def offer(self, support: int, values) -> None:
         self.stats.offered += 1
@@ -287,24 +284,25 @@ def min_support_bnb(
     Otherwise the "force" child drops the column that leads at k, as every
     other one is already zero there, and the "free" child re-settles that
     column from row k+1 (_settle) once it has passed the prunes; only this
-    step does arithmetic. The columns start settled from row 0. So a path
-    holds at most d + f live columns: the d starting ones and one new column
-    per row it frees, with f <= limit <= N + 1 frees. A forced child shares
-    the parent's lists and starts one column further on; only a settle
-    copies them.
+    step does arithmetic. The columns start as the reduced echelon of the
+    basis columns, sorted by pivot and each zero at every other pivot: a
+    staircase from row 0. So a path holds at most d + f live columns: the d
+    starting ones and one new column per row it frees, with f <= limit <=
+    N + 1 frees. A forced child shares the parent's lists and starts one
+    column further on; only a settle copies them.
 
     The same column meets the same pivot at the same row on many paths: on
-    J(8,2) i=2 the 29,954 elimination steps have 2,624 distinct operands. So
-    the settles of one call, the starting ones too, share one memo that
-    recalls a step by the identity of its two columns and its row (_settle).
-    That is safe, as no column is mutated once built and an entry keeps its
-    operands alive. The memo is cleared at _MEMO_CAP = 512 entries, so it
-    holds at most 512 columns of N integers whatever the node budget, and
-    it still recalls 85% of the steps on J(8,2) i=2 (89% with no cap) and
-    77% on J(7,3) i=3 (83%). stats.eliminations counts every step, computed
-    or recalled. The memo lives only for the call: visit's reference to
-    itself is broken before the return, so the memo, the columns and the
-    pool are freed then, not at the next cyclic collection.
+    J(8,2) i=2 the 13,715 elimination steps have 2,384 distinct operands. So
+    the settles of one call share one memo that recalls a step by the
+    identity of its two columns and its row (_settle). That is safe, as no
+    column is mutated once built and an entry keeps its operands alive. The
+    memo is cleared at _MEMO_CAP = 512 entries, so it holds at most 512
+    columns of N integers whatever the node budget, and it still recalls 75%
+    of the steps on J(8,2) i=2 (77% with no cap) and 76% on J(7,3) i=3
+    (81%). stats.eliminations counts every step, computed or recalled. The
+    memo lives only for the call: visit's reference to itself is broken
+    before the return, so the memo, the columns and the pool are freed
+    then, not at the next cyclic collection.
 
     A node with as many frees as the limit is closed at once. Each of its
     free children, and those of every node below it, is pruned on entry, as
@@ -320,7 +318,10 @@ def min_support_bnb(
     Only the span of the columns decides a node: whether a row is
     dependent, the number m of columns, and the one member, up to scale, at
     m = 1. So the nodes, prunes, limit and offers are those of the same
-    search on any other basis of each kernel, such as _project's.
+    search on any other basis of each kernel, such as _project's. So do the
+    steps: the reduced echelon is unique up to the sign and scale of each
+    row and combine divides out the content of what it returns, so every
+    counter depends only on the eigenspace, not on the basis given.
 
     Complete search: every zero pattern of a nonzero member corresponds to
     exactly one root-to-leaf path, the prune on frees > limit can only
@@ -398,11 +399,8 @@ def min_support_bnb(
         visit(k + 1, frees, cols, leads, o)
         frees.pop()
 
-    cols: list[list[int]] = []
-    leads: list[int] = []
+    leads, cols = map(list, zip(*pool.echelon.reduced()))
     memo: dict = {}
-    for col in pool.columns():
-        _settle(col, 0, cols, leads, stats, memo)
     visit(0, [], cols, leads, 0)
     del visit  # visit refers to itself; breaking the cycle frees the memo, columns and pool on return
     if not exhausted and pool.best is None:
@@ -439,7 +437,7 @@ def min_support_hyperplane(
     t0 = time.perf_counter()
     stats = SearchStats()
     pool = _WitnessPool(basis, witness_cap, stats)
-    _hyperplane_scan(pool.columns(), pool)
+    _hyperplane_scan(pool.columns, pool)
     return _report(space, pool, stats, t0, True, "hyperplane")
 
 

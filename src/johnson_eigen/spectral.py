@@ -70,12 +70,16 @@ def eigenvalue_index(params: JohnsonParams, lam: int) -> int:
 
 
 class EigenspaceBasis(namedtuple("EigenspaceBasis", "params i lam basis")):
-    """Exact basis of one eigenspace; rows of `basis` follow vertex rank order."""
+    """Exact basis of one eigenspace; rows of `basis` follow vertex rank order.
+    ParameterError unless i is an int in 0..w and lam an int (bool is neither)."""
 
     __slots__ = ()
     _make = classmethod(checked_make)
 
     def __new__(cls, params: JohnsonParams, i: int, lam: int, basis: ExactMatrix):
+        eigenvalue(params, i)  # checks i
+        if not is_int(lam):
+            raise ParameterError(f"eigenvalue {lam!r} is not an int")
         if basis.rows != params.num_vertices:
             raise ParameterError(f"basis has {basis.rows} rows for {params.num_vertices} vertices")
         return super().__new__(cls, params, i, lam, basis)

@@ -90,6 +90,11 @@ def block_symmetrized_function(params: JohnsonParams, rng) -> SparseFunction:
     return SparseFunction(params, entries)
 
 
+def rank(m) -> int:
+    """Exact rank over the rationals of an ExactMatrix, by the package's IntEchelon."""
+    return IntEchelon(m.cols, m.integer_rows()).rank
+
+
 # -- independent oracles ------------------------------------------------------
 
 def oracle_rank(rows) -> int:

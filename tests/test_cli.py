@@ -232,6 +232,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("minsupport_n6_w3_i1_hyperplane.json",
      "minsupport --n 6 --w 3 --i 1 --algo hyperplane --threads 2 --json"),
     ("table_max_n6.txt", "table --max-n 6 --threads 1"),
+    # the headline command: the pinned tree of 1,310,759 nodes and its witness bytes
+    ("minsupport_n7_w3_i3.json", "minsupport --n 7 --w 3 --i 3 --algo both --threads 1 --json"),
 ])
 def test_stdout_matches_golden_bytes(capsys, name, argv):
     code, out, _ = invoke(capsys, argv.split())

@@ -14,11 +14,10 @@ from johnson_eigen import (
     ParameterError,
     adjacency_matrix,
     nullspace,
-    rank,
 )
 from johnson_eigen.exact_linalg import IntEchelon, combine, span_basis
 
-from conftest import make_rng, oracle_mat_vec, oracle_rank, random_rational, reference_kernel
+from conftest import make_rng, oracle_mat_vec, oracle_rank, random_rational, rank, reference_kernel
 
 
 def shifted_adjacency(params, lam):

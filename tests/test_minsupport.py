@@ -28,7 +28,7 @@ from johnson_eigen import (
     verify_bound,
 )
 from johnson_eigen import canonical, minsupport
-from johnson_eigen.exact_linalg import ExactMatrix, combine, nullspace
+from johnson_eigen.exact_linalg import ExactMatrix, IntEchelon, combine, nullspace
 from johnson_eigen.minsupport import (
     SearchStats,
     _WitnessPool,
@@ -42,6 +42,7 @@ from johnson_eigen.spectral import EigenspaceBasis
 from conftest import (
     ReferenceWitnessPool,
     exhaustive_min_support,
+    make_rng,
     oracle_rank,
     reference_hyperplane_scan,
     reference_min_support_bnb,
@@ -342,7 +343,7 @@ def test_verify_bound_node_count_pinned():
     assert report.stats.nodes == 97_257
     assert report.min_support == 4
     # the bnb alone runs here: cross-multiplications of its staircase columns
-    assert report.stats.eliminations == 29_954
+    assert report.stats.eliminations == 13_715
 
 
 def test_verify_bound_takes_its_hint_from_the_bound(monkeypatch):
@@ -364,6 +365,52 @@ def test_verify_bound_takes_its_hint_from_the_bound(monkeypatch):
     assert report.all_witnesses_canonical and len(report.witnesses) == 16
     # match_canonical reads each witness's constant and builds no canonical function
     assert events == ["bnb"] + ["eigen"] * 16
+
+
+def _recombined(space, rng):
+    """The same eigenspace on another basis: seeded unimodular integer column operations."""
+    d = space.dimension
+    cols = [list(col) for col in zip(*(space.basis.row(r) for r in range(space.basis.rows)))]
+    for _ in range(4 * d):
+        j, k = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        cols[j] = [x + c * y for x, y in zip(cols[j], cols[k])]
+        if rng.random() < 0.3:
+            cols[j] = [-x for x in cols[j]]
+    rng.shuffle(cols)
+    flat = [x for row in zip(*cols) for x in row]
+    return EigenspaceBasis(space.params, space.i, space.lam, ExactMatrix(space.basis.rows, d, flat))
+
+
+@pytest.mark.parametrize("n,w,i", [(5, 2, 2), (6, 3, 1), (8, 2, 2)])
+def test_bnb_counters_depend_only_on_the_span(monkeypatch, n, w, i):
+    # the bnb used to settle whatever basis it was handed from row 0, so its
+    # eliminations on J(8,2) i=2 were 29,954 on the package basis and
+    # 34,446, 35,272 and 33,183 on the three recombinations here
+    starts = []
+    settle = minsupport._settle
+
+    def recording(col, start, *args):
+        starts.append(start)
+        return settle(col, start, *args)
+
+    monkeypatch.setattr(minsupport, "_settle", recording)
+    space = eigenspace_basis(JohnsonParams(n, w), i)
+    rng = make_rng(7 * n + w + i)
+
+    def outcome(report):
+        stats = [getattr(report.stats, name) for name in SearchStats.__slots__ if name != "elapsed"]
+        witnesses = [sorted(w_fn.entries.items()) for w_fn in report.witnesses]
+        return stats, report.min_support, report.proven_optimal, witnesses
+
+    expected = outcome(min_support_bnb(space))
+    assert expected[3] and starts
+    for _ in range(3):
+        other = _recombined(space, rng)
+        assert other.basis != space.basis
+        assert outcome(min_support_bnb(other)) == expected
+    # every settle frees a row k >= 0 and starts below it: none settles from row 0
+    assert 0 not in starts
 
 
 @pytest.mark.parametrize("n,w,i,pinned", [
@@ -503,7 +550,7 @@ def test_integer_pool_matches_fraction_valuation(case):
     ref = ReferenceWitnessPool(cap, ref_stats)
     fraction_rows = [basis.row(r) for r in range(basis.rows)]
     for support, coeff in stream:
-        pool.offer(support, [sum(x * c for x, c in zip(row, coeff)) for row in pool.rows])
+        pool.offer(support, [sum(x * c for x, c in zip(row, coeff)) for row in zip(*pool.columns)])
         ref.offer(support, reference_values(fraction_rows, coeff))
     assert pool.best == ref.best
     assert [tuple(Fraction(x) for x in v) for v in pool.final_vectors()] == ref.final_vectors()
@@ -720,26 +767,24 @@ def _staircase_walks(draw):
 @settings(max_examples=300, deadline=None)
 @given(_staircase_walks())
 def test_staircase_walk_keeps_its_invariant(case):
-    # the bnb's steps on a few paths from one start, forcing or freeing row k
-    # in turn: the columns stay a staircase of the kernel of the forced rows,
-    # and the shared memo recalls exactly what a fresh memo computes
+    # the bnb's steps on a few paths from its start, the reduced echelon of
+    # the columns, forcing or freeing row k in turn: the columns stay a
+    # staircase of the kernel of the forced rows, and the shared memo
+    # recalls exactly what a fresh memo computes
     rows, paths = case
     stats = SearchStats()
     memo: dict = {}
-    start_cols: list[list[int]] = []
-    start_leads: list[int] = []
-    for col in zip(*rows):
-        _settle(list(col), 0, start_cols, start_leads, stats, memo)
-    # the same staircase settled with a fresh memo per settle: nothing recalled
-    fresh_start: list[list[int]] = []
-    fresh_start_leads: list[int] = []
-    for col in zip(*rows):
-        _settle(list(col), 0, fresh_start, fresh_start_leads, SearchStats(), {})
-    assert (start_cols, start_leads) == (fresh_start, fresh_start_leads)
+    start_leads, start_cols = map(list, zip(*IntEchelon(len(rows), zip(*rows)).reduced()))
     _assert_staircase(rows, start_cols, start_leads, 0, [])
+    # the columns settled one by one from row 0 lead at the same rows
+    settled: list[list[int]] = []
+    settled_leads: list[int] = []
+    for col in zip(*rows):
+        _settle(list(col), 0, settled, settled_leads, SearchStats(), {})
+    assert settled_leads == start_leads
     for force in paths:
         cols, leads = start_cols, start_leads
-        fresh_cols, fresh_leads = fresh_start, fresh_start_leads
+        fresh_cols, fresh_leads = start_cols, start_leads
         forced: list[int] = []
         for k, force_k in enumerate(force):
             if len(cols) == 1:
@@ -763,7 +808,7 @@ def test_staircase_walk_keeps_its_invariant(case):
 
 
 def test_bnb_memo_matches_the_reference_where_it_overflows(monkeypatch):
-    # J(8,2) i=2 computes 4,383 steps, many times the memo's cap: at each
+    # J(8,2) i=2 computes 3,420 steps, many times the memo's cap: at each
     # budget the bnb must give the reference's nodes, offers and witnesses,
     # and the eliminations of a bnb whose memo recalls nothing
     space = eigenspace_basis(JohnsonParams(8, 2), 2)
@@ -788,7 +833,7 @@ def test_bnb_memo_matches_the_reference_where_it_overflows(monkeypatch):
         assert _bnb_outcome(report) == _bnb_outcome(plain)
         assert _bnb_outcome(report) == _bnb_outcome(reference_min_support_bnb(space, node_budget=budget))
     stats = memoized[-1].stats
-    assert (stats.nodes, stats.eliminations) == (97_257, 29_954)
+    assert (stats.nodes, stats.eliminations) == (97_257, 13_715)
 
 
 @st.composite

@@ -181,6 +181,26 @@ def test_eigenspace_basis_needs_one_row_per_vertex():
             EigenspaceBasis(p, 1, 0, ExactMatrix(nrows, 1, [1] * nrows))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("i", 7, "eigenvalue index 7 is not an int in 0..2"),
+    ("i", -1, "eigenvalue index -1 is not an int in 0..2"),
+    ("i", 1.0, "eigenvalue index 1.0 is not an int in 0..2"),
+    ("i", True, "eigenvalue index True is not an int in 0..2"),
+    ("lam", 2.5, "eigenvalue 2.5 is not an int"),
+    ("lam", "x", "eigenvalue 'x' is not an int"),
+    ("lam", False, "eigenvalue False is not an int"),
+    ("lam", Fraction(1), "eigenvalue Fraction\\(1, 1\\) is not an int"),
+])
+def test_eigenspace_basis_rejects_a_bad_index_or_eigenvalue(field, value, message):
+    # i=7 used to run the whole bnb and fail only in its report; lam=2.5 reached the report
+    space = eigenspace_basis(JohnsonParams(5, 2), 1)
+    fields = space._asdict() | {field: value}
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        EigenspaceBasis(**fields)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        space._replace(**{field: value})
+
+
 def test_is_eigenfunction_examples():
     p = JohnsonParams(5, 2)
     ones = SparseFunction.constant(p, 1)
