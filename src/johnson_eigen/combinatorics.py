@@ -10,6 +10,7 @@ which two subsets differ; so sorting vertices needs no rank_subset.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 
@@ -77,21 +78,14 @@ def unrank_subset(r: int, n: int, w: int) -> int:
 
 
 def vertices_in_rank_order(n: int, w: int) -> Iterator[int]:
-    """All w-subsets of {0..n-1} as bitmasks, in co-lex (rank) order."""
+    """All w-subsets of {0..n-1} as bitmasks in co-lex (rank) order, which is the
+    numeric order of their sums of distinct bits; none for w outside 0..n."""
     if not (is_int(n) and is_int(w)):
         raise ParameterError(f"n and w must be ints, got {n!r}, {w!r}")
+    if n < 0:
+        raise ParameterError(f"need n >= 0, got n={n}")
     if n > MAX_COORDS:
         raise ParameterError(f"n={n} exceeds the {MAX_COORDS}-coordinate limit")
-    if w < 0 or w > n:
-        return
-    yield from _colex_masks(n, w)
-
-
-def _colex_masks(n, w):
-    if w == 0:
-        yield 0
-        return
-    for top in range(w - 1, n):
-        bit = 1 << top
-        for rest in _colex_masks(top, w - 1):
-            yield rest | bit
+    if w < 0:  # combinations refuses a negative size; C(n, w) = 0 there
+        return iter(())
+    return iter(sorted(map(sum, itertools.combinations([1 << c for c in range(n)], w))))

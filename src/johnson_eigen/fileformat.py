@@ -28,7 +28,15 @@ def rational_to_string(v: Fraction) -> str:
         raise SizeBudgetError("a value has too many digits to write as a string") from exc
 
 
+def _check_lambda_index(index, w: int, error=ParameterError):
+    """index; error unless None or an int in 0..w, so the reader takes what the writer writes."""
+    if not (index is None or is_int(index) and 0 <= index <= w):
+        raise error(f"lambda_index {_brief(index)} is not null or an int in 0..{w}")
+    return index
+
+
 def function_to_document(f: SparseFunction, lambda_index: int | None = None) -> dict:
+    _check_lambda_index(lambda_index, f.params.w)
     entries = [
         [rank_subset(x), rational_to_string(f.entries[x])]
         for x in f.support
@@ -64,11 +72,7 @@ def document_to_function(doc) -> tuple[SparseFunction, int | None]:
         params = JohnsonParams(n, w)
     except ParameterError as exc:
         raise FunctionFileError(f"bad parameters: {exc}") from exc
-    lam_index = doc.get("lambda_index")
-    if lam_index is not None and not is_int(lam_index):
-        raise FunctionFileError("lambda_index must be an integer or null")
-    if lam_index is not None and not 0 <= lam_index <= w:
-        raise FunctionFileError(f"lambda_index {lam_index} out of range 0..{w}")
+    lam_index = _check_lambda_index(doc.get("lambda_index"), w, FunctionFileError)
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise FunctionFileError("entries must be a list")

@@ -113,10 +113,10 @@ class SparseFunction:
     @classmethod
     def constant(cls, params: JohnsonParams, value: Rational) -> "SparseFunction":
         if params.num_vertices > MAX_OUTPUT_TERMS:
-            raise SizeBudgetError(
-                f"J({params.n},{params.w}) has {params.num_vertices} vertices, over the cap {MAX_OUTPUT_TERMS}"
-            )
-        return cls(params, ((x, value) for x in params.vertices()))
+            raise SizeBudgetError(f"J({params.n},{params.w}) has {params.num_vertices} vertices, "
+                                  f"over the cap {MAX_OUTPUT_TERMS}")
+        p, q = check_rational(value).numerator, value.denominator
+        return cls._from_sums(params, dict.fromkeys(params.vertices(), p), q)
 
     def __call__(self, x: int) -> Fraction:
         return Fraction(self.nums.get(x, 0), self.den)

@@ -36,12 +36,8 @@ def induce(f: SparseFunction, target_w: int) -> SparseFunction:
         raise SizeBudgetError(f"induction needs {terms} terms, over the cap {MAX_OUTPUT_TERMS}")
     acc: dict[int, int] = {}
     for y, v in f.nums.items():
-        comp = [c for c in range(n) if not (y >> c) & 1]
-        for add in itertools.combinations(comp, extra):
-            x = y
-            for c in add:
-                x |= 1 << c
-            acc[x] = acc.get(x, 0) + v
+        for s in map(sum, itertools.combinations([1 << c for c in range(n) if not y >> c & 1], extra)):
+            acc[y | s] = acc.get(y | s, 0) + v
     return SparseFunction._from_sums(JohnsonParams(n, target_w), acc, f.den)
 
 

@@ -241,6 +241,15 @@ def test_stdout_matches_golden_bytes(capsys, name, argv):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+def test_canonical_then_induce_matches_golden_bytes(tmp_path, capsys):
+    # the canonical function of pairs (0,5), (2,7) on J(8,3), induced to J(8,5)
+    path = str(tmp_path / "c.json")
+    first = invoke(capsys, ["canonical", "--n", "8", "--w", "3", "--i", "2", "--pairs", "0:5,2:7", "--out", path])
+    second = invoke(capsys, ["induce", "--func", path, "--target-w", "5"])
+    assert first[0] == second[0] == 0 and first[2] == second[2] == ""
+    assert (first[1] + second[1]).encode() == (GOLDEN / "induce_n8_w3_i2_to_w5.json").read_bytes()
+
+
 def _count_builds(monkeypatch) -> list[int]:
     """Record the dimension of every eigenspace basis built from here on."""
     built = []

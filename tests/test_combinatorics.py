@@ -98,6 +98,19 @@ def test_vertices_in_rank_order_rejects_more_than_64_coordinates():
         next(vertices_in_rank_order(65, 1))
 
 
+@pytest.mark.parametrize("n, w", [(-1, 0), (-3, -5), (-2, 1)])
+def test_vertices_in_rank_order_rejects_a_negative_n_at_the_call(n, w):
+    # these used to yield nothing, while binomial(-1, 0) and JohnsonParams(-1, 0) raise
+    with pytest.raises(ParameterError, match=f"^need n >= 0, got n={n}$"):
+        vertices_in_rank_order(n, w)
+
+
+@pytest.mark.parametrize("n, w", [(0, -1), (5, -1), (5, 6), (3, 10), (0, 1)])
+def test_vertices_in_rank_order_is_empty_for_w_outside_0_to_n(n, w):
+    assert binomial(n, w) == 0
+    assert list(vertices_in_rank_order(n, w)) == []
+
+
 def test_rank_subset_rejects_a_negative_mask():
     with pytest.raises(ParameterError):
         rank_subset(-1)

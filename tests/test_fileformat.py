@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from johnson_eigen import FunctionFileError, JohnsonParams, SparseFunction
+from johnson_eigen import FunctionFileError, JohnsonParams, ParameterError, SparseFunction
 from johnson_eigen.fileformat import (
     check_writable,
     document_to_function,
@@ -75,6 +75,22 @@ def test_writer_raises_a_file_error_when_it_cannot_write(tmp_path):
     for path in (tmp_path / "missing" / "f.json", tmp_path):
         with pytest.raises(FunctionFileError, match="^" + re.escape(f"cannot write {path}: ")):
             write_function(str(path), f)
+
+
+@pytest.mark.parametrize("index", [7, 3, -1, True, False, 1.0, "1", [1]])
+def test_writer_refuses_an_index_the_reader_refuses_and_writes_nothing(tmp_path, index):
+    # each of these used to be written, and read_function then refused the file
+    f = SparseFunction(JohnsonParams(5, 2), {V([0, 1]): 1})
+    doc = {"n": 5, "w": 2, "lambda_index": index, "entries": [[0, "1"]]}
+    message = f"^lambda_index {re.escape(repr(index))} is not null or an int in 0..2$"
+    with pytest.raises(FunctionFileError, match=message):
+        document_to_function(doc)
+    with pytest.raises(ParameterError, match=message):
+        function_to_document(f, index)
+    path = tmp_path / "f.json"
+    with pytest.raises(ParameterError, match=message):
+        write_function(str(path), f, index)
+    assert not path.exists()
 
 
 def test_writable_check_leaves_the_path_as_it_was(tmp_path):

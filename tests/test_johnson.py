@@ -134,6 +134,21 @@ def test_constant_refuses_more_vertices_than_the_output_cap():
     assert ones.support_size == 20 and set(ones.entries.values()) == {Fraction(1, 2)}
 
 
+@pytest.mark.parametrize("n, w", [(0, 0), (1, 1), (5, 2), (6, 3), (7, 1), (8, 5)])
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-6, 4), Fraction(5)])
+def test_constant_equals_the_checked_build(n, w, value):
+    p = JohnsonParams(n, w)
+    f = SparseFunction.constant(p, value)
+    assert f == SparseFunction(p, {x: value for x in p.vertices()})
+    assert (f.den, f.support) == (Fraction(value).denominator, [] if value == 0 else list(p.vertices()))
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1", None])
+def test_constant_refuses_a_value_that_is_not_int_or_fraction(value):
+    with pytest.raises(ParameterError, match="is not an int or Fraction$"):
+        SparseFunction.constant(JohnsonParams(5, 2), value)
+
+
 def test_apply_adjacency_examples():
     p = JohnsonParams(5, 2)
     ones = SparseFunction.constant(p, 1)
