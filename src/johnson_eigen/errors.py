@@ -36,6 +36,15 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def brief(item) -> str:
+    """repr(item), cut to 60 characters ending in "..." when longer, or "<unprintable>"."""
+    try:
+        text = repr(item)
+    except Exception:  # ValueError past the int digit limit, RecursionError on deep nesting
+        return "<unprintable>"
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def check_rational(v):
     """v itself; ParameterError unless v is an int or a Fraction, and not a bool."""
     if not (is_int(v) or isinstance(v, Fraction)):

@@ -10,52 +10,48 @@ one trailing newline.
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 
 from .combinatorics import rank_subset, unrank_subset
-from .errors import FunctionFileError, ParameterError, SizeBudgetError, is_int
+from .errors import FunctionFileError, ParameterError, SizeBudgetError, brief, is_int
 from .johnson import JohnsonParams, SparseFunction
 
 
-def rational_to_string(v: Fraction) -> str:
-    """v as "p/q", or "p" when q is 1; SizeBudgetError if p or q has more
-    digits than the interpreter converts to a string, as induce and reduce
-    can make from values the reader accepts."""
+def _ratio_string(p: int, q: int) -> str:
+    """p/q, for q > 0, in lowest terms as "p/q", or "p" when that q is 1;
+    SizeBudgetError if p or q has more digits than the interpreter converts
+    to a string, as induce and reduce can make from values the reader accepts."""
+    g = math.gcd(p, q)
     try:
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(p // g) if q == g else f"{p // g}/{q // g}"
     except ValueError as exc:
         raise SizeBudgetError("a value has too many digits to write as a string") from exc
+
+
+def rational_to_string(v: Fraction) -> str:
+    """v as "p/q", or "p" when q is 1 (_ratio_string)."""
+    return _ratio_string(v.numerator, v.denominator)
 
 
 def _check_lambda_index(index, w: int, error=ParameterError):
     """index; error unless None or an int in 0..w, so the reader takes what the writer writes."""
     if not (index is None or is_int(index) and 0 <= index <= w):
-        raise error(f"lambda_index {_brief(index)} is not null or an int in 0..{w}")
+        raise error(f"lambda_index {brief(index)} is not null or an int in 0..{w}")
     return index
 
 
 def function_to_document(f: SparseFunction, lambda_index: int | None = None) -> dict:
     _check_lambda_index(lambda_index, f.params.w)
-    entries = [
-        [rank_subset(x), rational_to_string(f.entries[x])]
-        for x in f.support
-    ]
+    nums, den = f.nums, f.den
+    entries = [[rank_subset(x), _ratio_string(nums[x], den)] for x in f.support]
     return {
         "n": f.params.n,
         "w": f.params.w,
         "lambda_index": lambda_index,
         "entries": entries,
     }
-
-
-def _brief(item) -> str:
-    """repr(item), cut to 60 characters ending in "..." when longer, or "<unprintable>"."""
-    try:
-        text = repr(item)
-    except Exception:  # ValueError past the int digit limit, RecursionError on deep nesting
-        return "<unprintable>"
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def document_to_function(doc) -> tuple[SparseFunction, int | None]:
@@ -77,33 +73,44 @@ def document_to_function(doc) -> tuple[SparseFunction, int | None]:
     if not isinstance(entries, list):
         raise FunctionFileError("entries must be a list")
     nverts = params.num_vertices
-    table = {}
+    nums: dict[int, int] = {}
+    dens: dict[int, int] = {}  # the denominators above 1
     prev_rank = -1
     for item in entries:
         if not (isinstance(item, list) and len(item) == 2):
-            raise FunctionFileError(f"bad entry {_brief(item)}")
+            raise FunctionFileError(f"bad entry {brief(item)}")
         r, s = item
         if not is_int(r) or not 0 <= r < nverts:
-            raise FunctionFileError(f"rank {_brief(r)} out of range 0..{nverts - 1}")
+            raise FunctionFileError(f"rank {brief(r)} out of range 0..{nverts - 1}")
         if r <= prev_rank:
             raise FunctionFileError("ranks must be strictly increasing")
         prev_rank = r
         if not isinstance(s, str):
-            raise FunctionFileError(f"value {_brief(s)} must be a rational string")
-        # only digits, "-" and "/" can be canonical; Fraction would also expand an
-        # exponent, which for "1e999999999" takes minutes and gigabytes
+            raise FunctionFileError(f"value {brief(s)} must be a rational string")
+        # only digits, "-" and "/" can be canonical; a parser that took more would
+        # also expand an exponent, which for "1e999999999" takes minutes and gigabytes
         if s.strip("-/0123456789"):
-            raise FunctionFileError(f"bad rational {_brief(s)}")
-        try:
-            v = Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FunctionFileError(f"bad rational {_brief(s)}") from exc
-        if v == 0:
+            raise FunctionFileError(f"bad rational {brief(s)}")
+        top, slash, bottom = s.partition("/")
+        try:  # int refuses "", a second "/" and more digits than it converts
+            p, q = int(top), int(bottom) if slash else 1
+        except ValueError as exc:
+            raise FunctionFileError(f"bad rational {brief(s)}") from exc
+        if q <= 0:
+            raise FunctionFileError(f"bad rational {brief(s)}")
+        if p == 0:
             raise FunctionFileError("zero values must not be stored")
-        if rational_to_string(v) != s:
-            raise FunctionFileError(f"rational {_brief(s)} is not in canonical lowest terms")
-        table[unrank_subset(r, n, w)] = v
-    return SparseFunction(params, table), lam_index
+        if _ratio_string(p, q) != s:
+            raise FunctionFileError(f"rational {brief(s)} is not in canonical lowest terms")
+        x = unrank_subset(r, n, w)
+        nums[x] = p
+        if q > 1:
+            dens[x] = q
+    # lowest terms over the lcm of the denominators, as the constructor has them
+    den = math.lcm(*dens.values())
+    if den > 1:
+        nums = {x: p * (den // dens.get(x, 1)) for x, p in nums.items()}
+    return SparseFunction._from_sums(params, nums, den), lam_index
 
 
 def dumps_document(doc) -> str:

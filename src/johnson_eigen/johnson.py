@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 
 from .combinatorics import MAX_COORDS, vertices_in_rank_order
-from .errors import ParameterError, ParamsMismatchError, SizeBudgetError, check_rational, checked_make, is_int
+from .errors import ParameterError, ParamsMismatchError, SizeBudgetError, brief, check_rational, checked_make, is_int
 
 Rational = Fraction | int
 
@@ -51,7 +51,7 @@ class JohnsonParams(namedtuple("JohnsonParams", "n w")):
 
     def check_vertex(self, x: int) -> None:
         if not is_int(x):
-            raise ParameterError(f"vertex {x!r} is not an int bitmask")
+            raise ParameterError(f"vertex {brief(x)} is not an int bitmask")
         if x < 0 or x.bit_count() != self.w or x >> self.n:
             raise ParameterError(f"bitmask {x:#b} is not a vertex of J({self.n},{self.w})")
 
@@ -74,9 +74,14 @@ class SparseFunction:
     __slots__ = ("params", "den", "nums", "_entries")
 
     def __init__(self, params: JohnsonParams, entries: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+        if not isinstance(entries, Iterable):
+            raise ParameterError(f"entries {brief(entries)} are not a mapping or an iterable of pairs")
         table: dict[int, Rational] = {}
-        for x, v in items:
+        for item in entries.items() if isinstance(entries, Mapping) else entries:
+            try:
+                x, v = item
+            except (TypeError, ValueError):
+                raise ParameterError(f"entry {brief(item)} is not a (vertex, value) pair") from None
             params.check_vertex(x)
             check_rational(v)
             if x in table:
@@ -217,10 +222,10 @@ def adjacency_sums(nums: Mapping[int, int], n: int) -> dict[int, int]:
     D scatters each key to its w subsets of size w-1 (down_sums), U scatters
     each nonzero down sum to its n-w+1 supersets, and w nums is subtracted on
     the support. This is A: (U D f)(x) = sum_y f(y) C(|x & y|, w-1), which
-    counts y = x w times and each neighbor once. Every vertex with a nonzero
-    sum is a key; some zero sums may be keys too. The adds are |supp| w for D
-    and at most min(|supp| w, C(n,w-1)) (n-w+1) for U, so at worst
-    (n-w+2)/(n-w) times the |supp| w(n-w) of scattering to every neighbor.
+    counts y = x w times and each neighbor once. Every key of nums (the
+    subtraction visits it) and every vertex with a nonzero sum is a key. The
+    adds are |supp| w for D and at most min(|supp| w, C(n,w-1)) (n-w+1) for U,
+    so at worst (n-w+2)/(n-w) times the |supp| w(n-w) of a scatter to each neighbor.
     """
     bits = [1 << c for c in range(n)]
     acc: dict[int, int] = {}

@@ -14,7 +14,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import ParameterError, SizeBudgetError, is_int
+from .errors import ParameterError, SizeBudgetError, brief, is_int
 from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, down_sums
 
 
@@ -91,6 +91,8 @@ def _check_reduction_coords(params: JohnsonParams, j1: int, j2: int) -> None:
 
 def iterated_reduce(f: SparseFunction, pairs) -> SparseFunction:
     """Compose reductions left to right; each pair indexes coordinates of the current graph."""
+    pairs = list(pairs)
+    survivor_coordinates(f.params.n, pairs)  # checks every pair before the first reduction
     for j1, j2 in pairs:
         f = reduce(f, j1, j2)
     return f
@@ -106,9 +108,13 @@ def survivor_coordinates(n: int, pairs) -> list[int]:
     if not is_int(n):
         raise ParameterError(f"n must be an int, got {n!r}")
     survivors = list(range(n))
-    for j1, j2 in pairs:
+    for pair in pairs:
+        try:
+            j1, j2 = pair
+        except (TypeError, ValueError):
+            raise ParameterError(f"bad reduction pair {brief(pair)} for {len(survivors)} coordinates") from None
         if j1 == j2 or not all(is_int(j) and 0 <= j < len(survivors) for j in (j1, j2)):
-            raise ParameterError(f"bad reduction pair ({j1},{j2}) for {len(survivors)} coordinates")
+            raise ParameterError(f"bad reduction pair ({brief(j1)},{brief(j2)}) for {len(survivors)} coordinates")
         for j in sorted((j1, j2), reverse=True):
             del survivors[j]
     return survivors

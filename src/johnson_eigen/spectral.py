@@ -175,11 +175,10 @@ def eigenspace_basis(params: JohnsonParams, i: int) -> EigenspaceBasis:
 def _failing_vertices(nums: dict[int, int], n: int, lam: int) -> list[int]:
     """Vertices x where lam * f(x) != (A f)(x), for f with integer values nums.
 
-    It can only fail on supp(f) and supp(A f), and adjacency_sums keys every
-    vertex where A f is nonzero: elsewhere the equation reads 0 = 0.
+    It can only fail on supp(f) and supp(A f), and adjacency_sums keys both:
+    elsewhere the equation reads 0 = 0.
     """
-    sums = adjacency_sums(nums, n)
-    return [x for x in nums.keys() | sums.keys() if sums.get(x, 0) != lam * nums.get(x, 0)]
+    return [x for x, s in adjacency_sums(nums, n).items() if s != lam * nums.get(x, 0)]
 
 
 def is_eigenfunction(f: SparseFunction, lam: int) -> EigenVerdict:

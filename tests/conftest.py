@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from johnson_eigen import (
     CanonicalMatch,
+    FunctionFileError,
     JohnsonParams,
     PairingConfig,
     ParameterError,
@@ -23,7 +24,9 @@ from johnson_eigen import (
     neighbors,
     rank_subset,
     support_size_bound,
+    unrank_subset,
 )
+from johnson_eigen.errors import SizeBudgetError, brief, is_int
 from johnson_eigen.exact_linalg import IntEchelon
 from johnson_eigen.minsupport import SearchReport, SearchStats
 from johnson_eigen.operators import swap_maps_to
@@ -509,3 +512,68 @@ def reference_hyperplane_scan(rows, nverts, d):
             best = support
             found.append((support, c))
     return done, found
+
+
+# -- the function file over Fractions: one Fraction per value, checked by the public constructor --
+
+def reference_rational_to_string(v: Fraction) -> str:
+    try:
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    except ValueError as exc:
+        raise SizeBudgetError("a value has too many digits to write as a string") from exc
+
+
+def reference_function_to_document(f: SparseFunction, lambda_index=None) -> dict:
+    if not (lambda_index is None or is_int(lambda_index) and 0 <= lambda_index <= f.params.w):
+        raise ParameterError(f"lambda_index {brief(lambda_index)} is not null or an int in 0..{f.params.w}")
+    entries = [[rank_subset(x), reference_rational_to_string(f.entries[x])] for x in f.support]
+    return {"n": f.params.n, "w": f.params.w, "lambda_index": lambda_index, "entries": entries}
+
+
+def reference_document_to_function(doc):
+    """The reader that parses each value with Fraction and builds through SparseFunction(params, table)."""
+    if not isinstance(doc, dict):
+        raise FunctionFileError("function file must be a JSON object")
+    for key in ("n", "w", "entries"):
+        if key not in doc:
+            raise FunctionFileError(f"missing field {key!r}")
+    unknown = set(doc) - {"n", "w", "lambda_index", "entries"}
+    if unknown:
+        raise FunctionFileError(f"unknown fields {sorted(unknown)}")
+    n, w = doc["n"], doc["w"]
+    try:
+        params = JohnsonParams(n, w)
+    except ParameterError as exc:
+        raise FunctionFileError(f"bad parameters: {exc}") from exc
+    lam_index = doc.get("lambda_index")
+    if not (lam_index is None or is_int(lam_index) and 0 <= lam_index <= w):
+        raise FunctionFileError(f"lambda_index {brief(lam_index)} is not null or an int in 0..{w}")
+    entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise FunctionFileError("entries must be a list")
+    nverts = params.num_vertices
+    table = {}
+    prev_rank = -1
+    for item in entries:
+        if not (isinstance(item, list) and len(item) == 2):
+            raise FunctionFileError(f"bad entry {brief(item)}")
+        r, s = item
+        if not is_int(r) or not 0 <= r < nverts:
+            raise FunctionFileError(f"rank {brief(r)} out of range 0..{nverts - 1}")
+        if r <= prev_rank:
+            raise FunctionFileError("ranks must be strictly increasing")
+        prev_rank = r
+        if not isinstance(s, str):
+            raise FunctionFileError(f"value {brief(s)} must be a rational string")
+        if s.strip("-/0123456789"):
+            raise FunctionFileError(f"bad rational {brief(s)}")
+        try:
+            v = Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FunctionFileError(f"bad rational {brief(s)}") from exc
+        if v == 0:
+            raise FunctionFileError("zero values must not be stored")
+        if reference_rational_to_string(v) != s:
+            raise FunctionFileError(f"rational {brief(s)} is not in canonical lowest terms")
+        table[unrank_subset(r, n, w)] = v
+    return SparseFunction(params, table), lam_index

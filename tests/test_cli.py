@@ -250,6 +250,19 @@ def test_canonical_then_induce_matches_golden_bytes(tmp_path, capsys):
     assert (first[1] + second[1]).encode() == (GOLDEN / "induce_n8_w3_i2_to_w5.json").read_bytes()
 
 
+@pytest.mark.parametrize("name,argv,code", [
+    ("fractional_n6_w3_induce_w4.json", "induce --target-w 4", 0),
+    ("fractional_n6_w3_reduce_0_1.json", "reduce --j1 0 --j2 1", 0),
+    ("fractional_n6_w3_verify_i1.txt", "verify --i 1", 1),
+])
+def test_fractional_input_matches_golden_bytes(capsys, name, argv, code):
+    # the only goldens whose values have denominators above 1: -3/4, 5/6, 7 and -1/12 on J(6,3)
+    command, *rest = argv.split()
+    out = invoke(capsys, [command, "--func", str(GOLDEN / "fractional_n6_w3.json"), *rest])
+    assert out[0] == code
+    assert out[1].encode() == (GOLDEN / name).read_bytes()
+
+
 def _count_builds(monkeypatch) -> list[int]:
     """Record the dimension of every eigenspace basis built from here on."""
     built = []

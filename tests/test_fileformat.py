@@ -4,12 +4,14 @@ import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from johnson_eigen import FunctionFileError, JohnsonParams, ParameterError, SparseFunction
+from johnson_eigen import FunctionFileError, JohnsonParams, ParameterError, SizeBudgetError, SparseFunction
+from johnson_eigen.errors import brief
 from johnson_eigen.fileformat import (
     check_writable,
     document_to_function,
@@ -20,7 +22,13 @@ from johnson_eigen.fileformat import (
     write_function,
 )
 
-from conftest import V, make_rng, random_rational
+from conftest import (
+    V,
+    make_rng,
+    random_rational,
+    reference_document_to_function,
+    reference_function_to_document,
+)
 
 
 def test_rational_strings():
@@ -231,3 +239,102 @@ def test_reader_total_and_round_trip_byte_identical(doc):
     assert dumps_document(function_to_document(f, idx)) == dumps_document(
         {**doc, "lambda_index": doc.get("lambda_index")}
     )
+
+
+# -- the reader and writer against the Fraction-based references in conftest --
+
+
+def _outcome(read, doc):
+    """(params, den, nums, lambda_index) of what read gives, or (exception type, message)."""
+    try:
+        f, idx = read(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return f.params, f.den, dict(f.nums), idx
+
+
+# digits and "-" and "/" in any order, p/q with q <= 0 or not in lowest terms,
+# and values at the interpreter's 4,300-digit limit on either side of the "/"
+_VALUE_TEXTS = st.one_of(
+    st.text("-/0123456789", max_size=7),
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(-3, 12)),
+    st.integers(-20, 20).map(str),
+    st.builds(lambda sign, d, k, tail: sign + d * k + tail, st.sampled_from(["", "-"]),
+              st.sampled_from("0179"), st.integers(4299, 4301), st.sampled_from(["", "/3", "/10"])),
+    st.builds(lambda top, k: top + "/" + "3" * k, st.sampled_from(["0", "1", "-2"]), st.integers(4299, 4301)),
+)
+
+
+@st.composite
+def _value_documents(draw):
+    n = draw(st.integers(0, 7))
+    w = draw(st.integers(0, n))
+    ranks = draw(st.lists(st.integers(0, math.comb(n, w) - 1), unique=True, max_size=5))
+    doc = {"n": n, "w": w, "entries": [[r, draw(_VALUE_TEXTS)] for r in sorted(ranks)]}
+    if draw(st.booleans()):
+        doc["lambda_index"] = draw(st.one_of(st.none(), st.integers(-1, w + 1)))
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_value_documents(), _documents))
+def test_reader_outcome_equals_the_fraction_reference(doc):
+    assert _outcome(document_to_function, doc) == _outcome(reference_document_to_function, doc)
+
+
+@pytest.mark.parametrize("value", ["1/-2", "0/0", "/2", "1/", "-", "1//2", "1/2/3", "1-2", "7" * 4301, "1/" + "3" * 4301])
+def test_reader_refuses_what_fraction_refused_as_a_bad_rational(value):
+    doc = {"n": 5, "w": 2, "entries": [[0, value]]}
+    message = "^" + re.escape(f"bad rational {brief(value)}") + "$"
+    with pytest.raises(FunctionFileError, match=message):
+        document_to_function(doc)
+    assert _outcome(document_to_function, doc) == _outcome(reference_document_to_function, doc)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "zero values must not be stored"), ("-0/5", "zero values must not be stored"),
+    ("01", "rational '01' is not in canonical lowest terms"),
+    ("1/1", "rational '1/1' is not in canonical lowest terms"),
+    ("2/4", "rational '2/4' is not in canonical lowest terms"),
+    ("-1/02", "rational '-1/02' is not in canonical lowest terms"),
+])
+def test_reader_keeps_the_zero_and_lowest_terms_messages(value, message):
+    with pytest.raises(FunctionFileError, match="^" + re.escape(message) + "$"):
+        document_to_function({"n": 5, "w": 2, "entries": [[0, value]]})
+
+
+_BIG_RATIONALS = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(list(JohnsonParams(6, 3).vertices())), _BIG_RATIONALS),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_writer_bytes_equal_the_fraction_reference_and_leave_entries_unbuilt(values, index):
+    f = SparseFunction(JohnsonParams(6, 3), values)
+    text = dumps_document(function_to_document(f, index))
+    assert f._entries is None
+    assert text == dumps_document(reference_function_to_document(f, index))
+    assert document_to_function(json.loads(text)) == (f, index)
+
+
+def test_writer_refuses_a_value_past_the_digit_limit_as_the_reference_does():
+    f = SparseFunction(JohnsonParams(5, 2), {V([0, 1]): Fraction(10 ** 5000 + 1, 3), V([0, 2]): 1})
+    for write in (function_to_document, reference_function_to_document):
+        with pytest.raises(SizeBudgetError, match="^a value has too many digits to write as a string$"):
+            write(f)
+
+
+def test_write_function_leaves_entries_unbuilt(tmp_path):
+    f = SparseFunction(JohnsonParams(5, 2), {V([0, 2]): Fraction(-1, 3), V([3, 4]): 2})
+    write_function(str(tmp_path / "f.json"), f, 1)
+    assert f._entries is None
+
+
+def test_fractional_golden_reads_and_writes_back_byte_identical(tmp_path):
+    # the input of the fractional CLI goldens, written by the Fraction-based writer
+    golden = Path(__file__).parent / "golden" / "fractional_n6_w3.json"
+    f, idx = read_function(str(golden))
+    assert (f.den, sorted(f.nums.values())) == (12, [-9, -1, 10, 84])
+    path = tmp_path / "f.json"
+    write_function(str(path), f, idx)
+    assert path.read_bytes() == golden.read_bytes()

@@ -270,6 +270,20 @@ def test_constructor_rejects_a_repeated_vertex():
             SparseFunction(JohnsonParams(4, 2), pairs)
 
 
+@pytest.mark.parametrize("entries, message", [
+    # the first two used to end in a bare ValueError from unpacking, the last two in a TypeError
+    ([(3, 1, 2)], r"^entry \(3, 1, 2\) is not a \(vertex, value\) pair$"),
+    ("ab", r"^entry 'a' is not a \(vertex, value\) pair$"),
+    ([5], r"^entry 5 is not a \(vertex, value\) pair$"),
+    (None, "^entries None are not a mapping or an iterable of pairs$"),
+    # quoting this key used to end in a ValueError past the int digit limit
+    ([([10 ** 5000], 1)], "^vertex <unprintable> is not an int bitmask$"),
+], ids=["three-items", "string", "int-item", "none", "unprintable-key"])
+def test_constructor_refuses_entries_that_are_not_pairs(entries, message):
+    with pytest.raises(ParameterError, match=message):
+        SparseFunction(JohnsonParams(4, 2), entries)
+
+
 # -- one representation: integer numerators over one denominator in lowest terms --
 
 _P = JohnsonParams(6, 3)
@@ -336,6 +350,23 @@ def test_adjacency_sums_equals_the_gather_on_nonzero_sums():
                     if s:
                         gathered[x] = s
                 assert {x: s for x, s in adjacency_sums(nums, n).items() if s} == gathered
+
+
+@st.composite
+def _numerator_maps(draw):
+    n = draw(st.integers(0, 10))
+    w = draw(st.integers(0, n))
+    verts = list(JohnsonParams(n, w).vertices())
+    return n, draw(st.dictionaries(st.sampled_from(verts), st.integers(-5, 5), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numerator_maps())
+def test_adjacency_sums_keys_every_key_of_nums(case):
+    # the eigen-check compares only over these keys, so a support vertex where
+    # A f vanishes must still be one
+    n, nums = case
+    assert nums.keys() <= adjacency_sums(nums, n).keys()
 
 
 def test_adjacency_sums_on_the_canonical_function_cancel_down_to_its_eigenvalue():

@@ -1,6 +1,7 @@
 """Induction, reduction, zero pairs, and the coordinate partition."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,29 @@ def test_iterated_reduce_identity_and_survivors():
     assert survivor_coordinates(6, [(0, 1), (1, 3)]) == [2, 4]
     with pytest.raises(ParameterError):
         survivor_coordinates(6, [(0, 0)])
+
+
+@pytest.mark.parametrize("pair", [(1,), (0, 1, 2), 5, "a", None])
+def test_survivors_and_iterated_reduce_refuse_an_item_that_is_not_a_pair(pair):
+    # (1,), (0, 1, 2) and "a" used to end in a bare ValueError, 5 and None in a TypeError
+    message = "^" + re.escape(f"bad reduction pair {pair!r} for 6 coordinates") + "$"
+    with pytest.raises(ParameterError, match=message):
+        survivor_coordinates(6, [pair])
+    with pytest.raises(ParameterError, match=message):
+        iterated_reduce(canonical(6, 3, 1), [pair])
+    later = "^" + re.escape(f"bad reduction pair {pair!r} for 4 coordinates") + "$"
+    with pytest.raises(ParameterError, match=later):
+        survivor_coordinates(6, [(0, 1), pair])
+    with pytest.raises(ParameterError, match=later):
+        iterated_reduce(canonical(6, 3, 1), [(0, 1), pair])
+
+
+def test_survivors_quote_a_coordinate_past_the_digit_limit():
+    # formatting 10**5000 with str used to end in a bare ValueError
+    message = r"^bad reduction pair \(<unprintable>,1\) for 6 coordinates$"
+    for call in (survivor_coordinates, lambda n, pairs: iterated_reduce(canonical(n, 3, 1), pairs)):
+        with pytest.raises(ParameterError, match=message):
+            call(6, [(10 ** 5000, 1)])
 
 
 def test_survivor_coordinates_match_reduction_semantics():

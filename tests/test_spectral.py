@@ -33,6 +33,8 @@ from johnson_eigen import (
     spectral,
 )
 
+from johnson_eigen.johnson import adjacency_sums
+
 from conftest import V, make_rng, oracle_mat_vec, reference_is_eigenfunction
 
 
@@ -227,6 +229,18 @@ def test_certificate_is_first_violation_in_rank_order():
     assert not v.holds
     # the equation already fails at rank 0
     assert v.certificate == V([0, 1])
+
+
+def test_a_support_vertex_where_a_f_vanishes_fails_for_a_nonzero_lambda():
+    # (A f)({0,1}) = f({0,2}) + f({1,2}) = 0, so {0,1} is a key of A f only
+    # because it is in supp(f); the equation lam * 1 = 0 fails there first
+    p = JohnsonParams(4, 2)
+    f = SparseFunction(p, {V([0, 1]): 1, V([0, 2]): 1, V([1, 2]): -1})
+    assert adjacency_sums(f.nums, 4)[V([0, 1])] == 0
+    for lam in (-2, -1, 1, 2, 4, 7):
+        verdict = is_eigenfunction(f, lam)
+        assert verdict == reference_is_eigenfunction(f, lam)
+        assert verdict.certificate == V([0, 1])
 
 
 @st.composite
