@@ -135,9 +135,7 @@ def _print_report_human(report: SearchReport, dim: int) -> None:
     print(f"stats: nodes={report.stats.nodes} subsets={report.stats.subsets} "
           f"elapsed={report.stats.elapsed:.3f}s")
     for k, w in enumerate(report.witnesses):
-        vals = " ".join(
-            f"{_vertex_label(x)}:{w.entries[x]}" for x in w.support
-        )
+        vals = " ".join(f"{_vertex_label(x)}:{w(x)}" for x in w.support)
         print(f"witness[{k}]: {vals}")
 
 

@@ -3,15 +3,16 @@
 combine is the package's one elimination step, the cross-multiplication of
 two integer vectors that clears one entry; the minimum-support searches use
 it on their kernel columns. IntEchelon is its one elimination engine: a
-fraction-free (Bareiss-style) row echelon over integer rows built from
-combine, whose reduced() is the canonical reduced form. A rational matrix
-enters it through integer_rows, which scales every row by the lcm of all its
-denominators; scaling a row leaves its row space alone, so rank and kernel
-are those of the rational matrix. Kernel bases are canonical and
-reproducible bit for bit: the vector for free column c is zero at every
-other free column, and nullspace scales it to 1 at c. span_basis puts a
-subspace given by spanning rows into the same form, without the matrix
-whose kernel it is.
+fraction-free row echelon over integer rows built from combine, which
+divides each new row by its content; unlike Bareiss's method it never
+divides by the previous pivot. Its reduced() is the canonical reduced form. A
+rational matrix enters it through integer_rows, which scales every row by
+the lcm of all its denominators; scaling a row leaves its row space alone,
+so rank and kernel are those of the rational matrix. Kernel bases are
+canonical and reproducible bit for bit: the vector for free column c is zero
+at every other free column, and nullspace scales it to 1 at c. span_basis
+puts a subspace given by spanning rows into the same form, without the
+matrix whose kernel it is.
 """
 
 from __future__ import annotations
@@ -91,8 +92,7 @@ class IntEchelon:
     given rows are reduced in order and each independent one is pushed.
     """
 
-    def __init__(self, width: int, rows=()):
-        self.width = width
+    def __init__(self, rows=()):
         self.rows: list[tuple[int, ...]] = []
         self.pivots: list[int] = []
         for row in rows:
@@ -130,7 +130,7 @@ class IntEchelon:
         is zero at every earlier pivot and left of its own, so clearing it
         from an earlier row keeps that row's pivot.
         """
-        jordan = IntEchelon(self.width, reversed(self.rows))
+        jordan = IntEchelon(reversed(self.rows))
         return sorted(zip(jordan.pivots, jordan.rows))
 
 
@@ -138,7 +138,7 @@ def nullspace(m: ExactMatrix) -> ExactMatrix:
     """Canonical exact basis of {v : m @ v = 0}, one column per free column fc of the
     RREF: 1 at fc, 0 at every other free column and -row[fc] / row[p] at each pivot p."""
     nc = m.cols
-    reduced = IntEchelon(nc, m.integer_rows()).reduced()
+    reduced = IntEchelon(m.integer_rows()).reduced()
     piv_set = {p for p, _ in reduced}
     free = [c for c in range(nc) if c not in piv_set]
     d = len(free)
@@ -163,7 +163,7 @@ def span_basis(rows: Sequence[Sequence[int]], width: int, rank: int) -> ExactMat
     rows each row is zero at every other pivot; divided by its pivot entry
     it is the vector of that free column.
     """
-    ech = IntEchelon(width, (row[::-1] for row in rows))
+    ech = IntEchelon(row[::-1] for row in rows)
     if ech.rank != rank:
         raise BasisCheckError(f"rows span a space of dimension {ech.rank}, expected {rank}")
     flat = [Fraction(0)] * (width * rank)

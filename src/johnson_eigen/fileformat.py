@@ -106,11 +106,7 @@ def document_to_function(doc) -> tuple[SparseFunction, int | None]:
         nums[x] = p
         if q > 1:
             dens[x] = q
-    # lowest terms over the lcm of the denominators, as the constructor has them
-    den = math.lcm(*dens.values())
-    if den > 1:
-        nums = {x: p * (den // dens.get(x, 1)) for x, p in nums.items()}
-    return SparseFunction._from_sums(params, nums, den), lam_index
+    return SparseFunction._from_ratios(params, nums, dens), lam_index
 
 
 def dumps_document(doc) -> str:

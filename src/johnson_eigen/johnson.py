@@ -71,12 +71,13 @@ class SparseFunction:
     returns new functions.
     """
 
-    __slots__ = ("params", "den", "nums", "_entries")
+    __slots__ = ("params", "den", "nums")
 
-    def __init__(self, params: JohnsonParams, entries: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
+    def __new__(cls, params: JohnsonParams, entries: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
         if not isinstance(entries, Iterable):
             raise ParameterError(f"entries {brief(entries)} are not a mapping or an iterable of pairs")
-        table: dict[int, Rational] = {}
+        nums: dict[int, int] = {}
+        dens: dict[int, int] = {}  # the denominators above 1
         for item in entries.items() if isinstance(entries, Mapping) else entries:
             try:
                 x, v = item
@@ -84,28 +85,34 @@ class SparseFunction:
                 raise ParameterError(f"entry {brief(item)} is not a (vertex, value) pair") from None
             params.check_vertex(x)
             check_rational(v)
-            if x in table:
+            if x in nums:
                 raise ParameterError(f"vertex {x:#b} is given twice")
-            table[x] = v
-        # the values are in lowest terms, so over the lcm of their denominators
-        # the numerators have no factor in common with it
-        den = math.lcm(*(v.denominator for v in table.values()))
-        nums = {x: v.numerator * (den // v.denominator) for x, v in table.items() if v}
-        for name, value in (("params", params), ("den", den), ("nums", MappingProxyType(nums)), ("_entries", None)):
-            object.__setattr__(self, name, value)
+            nums[x] = v.numerator
+            if v.denominator > 1:
+                dens[x] = v.denominator
+        return cls._from_ratios(params, nums, dens)
+
+    @classmethod
+    def _from_ratios(cls, params: JohnsonParams, nums: Mapping[int, int], dens: Mapping[int, int]) -> "SparseFunction":
+        """x -> nums[x] / dens.get(x, 1), ratios in lowest terms and dens the denominators above 1.
+        Over their lcm the numerators share no factor with it, so _from_sums divides out none."""
+        den = math.lcm(*dens.values())
+        if den > 1:
+            nums = {x: p * (den // dens.get(x, 1)) for x, p in nums.items()}
+        return cls._from_sums(params, nums, den)
 
     @classmethod
     def _from_sums(cls, params: JohnsonParams, sums: Mapping[int, int], den: int = 1) -> "SparseFunction":
         """x -> sums[x] / den on the nonzero sums, in lowest terms; the keys must be
-        vertices of params and den a positive int."""
+        vertices of params and den a positive int. Every function is stored here."""
         nums = {x: s for x, s in sums.items() if s}
         g = math.gcd(den, *nums.values())
         if g > 1:
             den //= g
             nums = {x: s // g for x, s in nums.items()}
-        f = cls(params)
-        object.__setattr__(f, "den", den)
-        object.__setattr__(f, "nums", MappingProxyType(nums))
+        f = object.__new__(cls)
+        for name, value in (("params", params), ("den", den), ("nums", MappingProxyType(nums))):
+            object.__setattr__(f, name, value)
         return f
 
     def __setattr__(self, name, value):
@@ -124,15 +131,13 @@ class SparseFunction:
         return cls._from_sums(params, dict.fromkeys(params.vertices(), p), q)
 
     def __call__(self, x: int) -> Fraction:
+        self.params.check_vertex(x)
         return Fraction(self.nums.get(x, 0), self.den)
 
     @property
     def entries(self) -> Mapping[int, Fraction]:
-        """Read-only view of the support values as Fractions, built on first use and kept."""
-        if self._entries is None:
-            view = {x: Fraction(s, self.den) for x, s in self.nums.items()}
-            object.__setattr__(self, "_entries", MappingProxyType(view))
-        return self._entries
+        """A new read-only view of the support values as Fractions on each access."""
+        return MappingProxyType({x: Fraction(s, self.den) for x, s in self.nums.items()})
 
     @property
     def support(self) -> list[int]:
@@ -155,6 +160,8 @@ class SparseFunction:
         return hash((self.params, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other: "SparseFunction") -> "SparseFunction":
+        if not isinstance(other, SparseFunction):
+            return NotImplemented
         if self.params != other.params:
             raise ParamsMismatchError(f"functions live on J{tuple(self.params)} and J{tuple(other.params)}")
         den = math.lcm(self.den, other.den)
@@ -165,6 +172,8 @@ class SparseFunction:
         return SparseFunction._from_sums(self.params, sums, den)
 
     def __sub__(self, other: "SparseFunction") -> "SparseFunction":
+        if not isinstance(other, SparseFunction):
+            return NotImplemented
         return self + other.scale(-1)
 
     def __neg__(self) -> "SparseFunction":

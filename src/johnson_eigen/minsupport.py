@@ -220,7 +220,7 @@ class _WitnessPool:
 
     def __init__(self, basis, cap: int, stats: SearchStats):
         self.columns = [list(col) for col in zip(*basis.integer_rows())]
-        self.echelon = IntEchelon(basis.rows, self.columns)
+        self.echelon = IntEchelon(self.columns)
         if self.echelon.rank < basis.cols:
             raise ParameterError(f"basis has rank {self.echelon.rank}, below its {basis.cols} columns")
         self.cap = cap

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import ParameterError, SizeBudgetError, brief, is_int
 from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, down_sums
@@ -91,8 +92,8 @@ def _check_reduction_coords(params: JohnsonParams, j1: int, j2: int) -> None:
 
 def iterated_reduce(f: SparseFunction, pairs) -> SparseFunction:
     """Compose reductions left to right; each pair indexes coordinates of the current graph."""
-    pairs = list(pairs)
-    survivor_coordinates(f.params.n, pairs)  # checks every pair before the first reduction
+    pairs = list(pairs) if isinstance(pairs, Iterable) else pairs
+    survivor_coordinates(f.params.n, pairs)  # checks pairs and each pair before the first reduction
     for j1, j2 in pairs:
         f = reduce(f, j1, j2)
     return f
@@ -107,6 +108,8 @@ def survivor_coordinates(n: int, pairs) -> list[int]:
     """
     if not is_int(n):
         raise ParameterError(f"n must be an int, got {n!r}")
+    if not isinstance(pairs, Iterable):
+        raise ParameterError(f"pairs {brief(pairs)} are not an iterable of pairs")
     survivors = list(range(n))
     for pair in pairs:
         try:

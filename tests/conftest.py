@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from johnson_eigen import (
@@ -26,7 +27,7 @@ from johnson_eigen import (
     support_size_bound,
     unrank_subset,
 )
-from johnson_eigen.errors import SizeBudgetError, brief, is_int
+from johnson_eigen.errors import SizeBudgetError, brief, check_rational, is_int
 from johnson_eigen.exact_linalg import IntEchelon
 from johnson_eigen.minsupport import SearchReport, SearchStats
 from johnson_eigen.operators import swap_maps_to
@@ -95,7 +96,7 @@ def block_symmetrized_function(params: JohnsonParams, rng) -> SparseFunction:
 
 def rank(m) -> int:
     """Exact rank over the rationals of an ExactMatrix, by the package's IntEchelon."""
-    return IntEchelon(m.cols, m.integer_rows()).rank
+    return IntEchelon(m.integer_rows()).rank
 
 
 # -- independent oracles ------------------------------------------------------
@@ -371,8 +372,8 @@ class ReferenceWitnessPool:
 
 # -- the elimination-driven searches, kept as oracles for the projected ones ---
 
-def reference_kernel(ech: IntEchelon) -> list[tuple[int, ...]]:
-    """Canonical kernel basis of the stored rows of ech, one vector per free column.
+def reference_kernel(ech: IntEchelon, width: int) -> list[tuple[int, ...]]:
+    """Canonical kernel basis of ech's stored rows, each of length width: one vector per free column.
 
     In increasing free-column order; each vector is coprime integers,
     positive at its own free column and zero at every other one.
@@ -387,7 +388,7 @@ def reference_kernel(ech: IntEchelon) -> list[tuple[int, ...]]:
     piv_cols = [ech.pivots[k] for k in order]
     piv_set = set(piv_cols)
     out = []
-    for fc in range(ech.width):
+    for fc in range(width):
         if fc in piv_set:
             continue
         engaged = sum(1 for p in piv_cols if p < fc)
@@ -407,7 +408,7 @@ def reference_kernel(ech: IntEchelon) -> list[tuple[int, ...]]:
         g = math.gcd(*values.values())
         if scale < 0:
             g = -g
-        vec = [0] * ech.width
+        vec = [0] * width
         for pos, val in values.items():
             vec[pos] = val // g
         out.append(tuple(vec))
@@ -437,7 +438,7 @@ def reference_min_support_bnb(space, node_budget=5_000_000, witness_cap=16, uppe
     fraction_rows = [basis.row(r) for r in range(nverts)]
     stats = SearchStats()
     pool = ReferenceWitnessPool(witness_cap, stats)
-    ech = _PushPopEchelon(d)
+    ech = _PushPopEchelon()
     limit = upper_bound_hint if upper_bound_hint is not None else nverts + 1
     exhausted = False
 
@@ -452,7 +453,7 @@ def reference_min_support_bnb(space, node_budget=5_000_000, witness_cap=16, uppe
         if len(frees) > limit:
             return
         if ech.rank == d - 1:
-            c = reference_kernel(ech)[0]
+            c = reference_kernel(ech, d)[0]
             if any(_int_dot(rows[r], c) == 0 for r in frees):
                 return
             support = sum(1 for r in range(nverts) if _int_dot(rows[r], c) != 0)
@@ -503,15 +504,38 @@ def reference_hyperplane_scan(rows, nverts, d):
     done = 0
     for subset in itertools.combinations(range(nverts), d - 1):
         done += 1
-        ech = IntEchelon(d, map(rows.__getitem__, subset))
+        ech = IntEchelon(map(rows.__getitem__, subset))
         if ech.rank != d - 1:
             continue
-        c = reference_kernel(ech)[0]
+        c = reference_kernel(ech, d)[0]
         support = sum(1 for r in range(nverts) if _int_dot(rows[r], c) != 0)
         if support <= best:
             best = support
             found.append((support, c))
     return done, found
+
+
+# -- the constructor that stored its own state: a checked table, then the lcm ---
+
+def reference_sparse_function(params: JohnsonParams, entries) -> tuple[int, dict[int, int]]:
+    """(den, nums) as the public constructor stored them before it built through
+    _from_sums: a table of the checked values, then their numerators over the lcm
+    of their denominators."""
+    if not isinstance(entries, Iterable):
+        raise ParameterError(f"entries {brief(entries)} are not a mapping or an iterable of pairs")
+    table = {}
+    for item in entries.items() if isinstance(entries, Mapping) else entries:
+        try:
+            x, v = item
+        except (TypeError, ValueError):
+            raise ParameterError(f"entry {brief(item)} is not a (vertex, value) pair") from None
+        params.check_vertex(x)
+        check_rational(v)
+        if x in table:
+            raise ParameterError(f"vertex {x:#b} is given twice")
+        table[x] = v
+    den = math.lcm(*(v.denominator for v in table.values()))
+    return den, {x: v.numerator * (den // v.denominator) for x, v in table.items() if v}
 
 
 # -- the function file over Fractions: one Fraction per value, checked by the public constructor --

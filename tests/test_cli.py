@@ -234,6 +234,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("table_max_n6.txt", "table --max-n 6 --threads 1"),
     # the headline command: the pinned tree of 1,310,759 nodes and its witness bytes
     ("minsupport_n7_w3_i3.json", "minsupport --n 7 --w 3 --i 3 --algo both --threads 1 --json"),
+    ("spectrum_n7_w3.json", "spectrum --n 7 --w 3 --json"),
 ])
 def test_stdout_matches_golden_bytes(capsys, name, argv):
     code, out, _ = invoke(capsys, argv.split())
@@ -254,6 +255,7 @@ def test_canonical_then_induce_matches_golden_bytes(tmp_path, capsys):
     ("fractional_n6_w3_induce_w4.json", "induce --target-w 4", 0),
     ("fractional_n6_w3_reduce_0_1.json", "reduce --j1 0 --j2 1", 0),
     ("fractional_n6_w3_verify_i1.txt", "verify --i 1", 1),
+    ("fractional_n6_w3_partition.txt", "partition", 0),
 ])
 def test_fractional_input_matches_golden_bytes(capsys, name, argv, code):
     # the only goldens whose values have denominators above 1: -3/4, 5/6, 7 and -1/12 on J(6,3)

@@ -138,10 +138,10 @@ def test_integer_rows_scale_by_the_lcm_of_all_denominators():
 def _assert_engine_matches_oracle(ech, pushed, width):
     assert ech.rank == oracle_rank(pushed) == len(pushed)
     # filling a fresh echelon with the pushed rows gives the same stored rows
-    fresh = IntEchelon(width, pushed)
+    fresh = IntEchelon(pushed)
     assert (fresh.rows, fresh.pivots) == (ech.rows, ech.pivots)
     ns = nullspace(ExactMatrix(len(pushed), width, [x for row in pushed for x in row]))
-    kern = reference_kernel(ech)
+    kern = reference_kernel(ech, width)
     assert len(kern) == ns.cols
     free = [c for c in range(width) if c not in set(ech.pivots)]
     for k, fc in enumerate(free):
@@ -158,7 +158,7 @@ def test_echelon_pushes_match_oracle():
     for _ in range(40):
         width = rng.randint(1, 6)
         gens = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(rng.randint(1, width))]
-        ech = IntEchelon(width)
+        ech = IntEchelon()
         pushed: list[list[int]] = []
         _assert_engine_matches_oracle(ech, pushed, width)
         for _ in range(25):
@@ -206,7 +206,7 @@ def test_combine_and_reduce_of_a_dependent_row_give_zero(scale):
     row = [scale * x for x in base]
     for r in (0, 2, 3, 4):
         assert combine(row, base, r) == [0] * len(base)
-    ech = IntEchelon(5, [base, [0, 1, 0, 0, 7]])
+    ech = IntEchelon([base, [0, 1, 0, 0, 7]])
     assert ech.reduce(row) == ()
     assert ech.reduce([a + 5 * b for a, b in zip(row, ech.rows[1])]) == ()
 
@@ -227,7 +227,7 @@ def _low_rank_rows(draw):
 @given(_low_rank_rows())
 def test_reduced_is_the_reduced_echelon_form_of_the_rows(case):
     width, rows = case
-    reduced = IntEchelon(width, rows).reduced()
+    reduced = IntEchelon(rows).reduced()
     pivots = [p for p, _ in reduced]
     assert pivots == sorted(set(pivots))
     for p, row in reduced:

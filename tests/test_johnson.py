@@ -22,6 +22,7 @@ from johnson_eigen import (
     induce_down_one,
     johnson_distance,
     min_support_bnb,
+    min_support_hyperplane,
     neighbors,
     read_function,
     reduce,
@@ -40,6 +41,7 @@ from conftest import (
     reference_induce,
     reference_induce_down_one,
     reference_reduce,
+    reference_sparse_function,
 )
 
 
@@ -316,10 +318,9 @@ def test_representation_is_lowest_terms_and_agrees_with_fractions(start, steps):
         assert (f.den, f.nums) == (same.den, same.nums) and hash(f) == hash(same)
 
 
-def test_entries_and_nums_are_read_only_and_entries_is_kept_between_accesses():
+def test_entries_and_nums_are_read_only():
     f = SparseFunction(JohnsonParams(4, 2), {3: Fraction(1, 2), 5: 1})
     g = f.scale(2)
-    assert f.entries is f.entries
     for h in (f, g):
         for table in (h.entries, h.nums):
             with pytest.raises(TypeError):
@@ -327,6 +328,112 @@ def test_entries_and_nums_are_read_only_and_entries_is_kept_between_accesses():
             with pytest.raises(TypeError):
                 table[6] = 1
     assert f.entries == {3: Fraction(1, 2), 5: 1} and (f.den, f.nums) == (2, {3: 1, 5: 2})
+
+
+def test_entries_is_a_new_view_on_each_access_and_no_other_state_is_kept():
+    f = SparseFunction(JohnsonParams(4, 2), {3: Fraction(-1, 2), 5: 1, 6: 0})
+    first, second = f.entries, f.entries
+    assert first is not second and first == second == {3: Fraction(-1, 2), 5: 1}
+    with pytest.raises(TypeError):
+        first[3] = 1
+    assert SparseFunction.__slots__ == ("params", "den", "nums")
+
+
+# -- one build path: the public constructor against the one that stored its own state --
+
+_P52 = JohnsonParams(5, 2)
+_VERTS = st.sampled_from(list(_P52.vertices()))
+_RATS = (st.integers(-20, 20) | st.just(0) | st.integers(-(10 ** 30), 10 ** 30)
+         | st.fractions(min_value=-20, max_value=20, max_denominator=15)
+         | st.builds(Fraction, st.integers(-(10 ** 30), 10 ** 30), st.integers(1, 10 ** 30)))
+_KEYS = _VERTS | st.sampled_from([0b111, 0, 1 << 5 | 1, -3, True, 3.0, "x", None, Fraction(3)])
+_VALUES = _RATS | st.booleans() | st.floats(width=16)
+_ITEMS = st.tuples(_KEYS, _VALUES) | st.sampled_from([(3,), (3, 1, 2), 5, None, "ab"])
+_ENTRY_ARGS = (st.dictionaries(_VERTS, _RATS, max_size=10) | st.lists(st.tuples(_VERTS, _RATS), max_size=6)
+               | st.dictionaries(_KEYS, _VALUES, max_size=6) | st.lists(_ITEMS, max_size=6)
+               | st.sampled_from([None, 5, 1.5]))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _stored(entries):
+    f = SparseFunction(_P52, entries)
+    assert f.params is _P52 and all(type(s) is int for s in f.nums.values())
+    return f.den, dict(f.nums)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ENTRY_ARGS)
+def test_constructor_stores_what_the_constructor_with_its_own_state_stored(entries):
+    # zeros, repeated vertices, non-pairs, bools and floats: the same (den, nums)
+    # or the same exception type and message
+    assert _outcome(lambda: _stored(entries)) == _outcome(lambda: reference_sparse_function(_P52, entries))
+
+
+def test_every_route_stores_its_function_through_from_sums_once(monkeypatch, tmp_path):
+    calls = []
+    from_sums = SparseFunction._from_sums.__func__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return from_sums(cls, *args)
+
+    monkeypatch.setattr(SparseFunction, "_from_sums", classmethod(counting))
+    p = JohnsonParams(6, 3)
+    f = SparseFunction(p, {V([0, 1, 2]): Fraction(-3, 4), V([3, 4, 5]): 2, V([0, 2, 4]): Fraction(5, 6)})
+    path = str(tmp_path / "f.json")
+    write_function(path, f)
+    space = eigenspace_basis(_P52, 1)
+    routes = {
+        "constructor": lambda: SparseFunction(p, {V([0, 1, 2]): Fraction(1, 2), V([0, 1, 3]): 0}),
+        "zero": lambda: SparseFunction.zero(p),
+        "constant": lambda: SparseFunction.constant(p, Fraction(2, 3)),
+        "scale": lambda: f.scale(Fraction(4, 3)),
+        "+": lambda: f + f,
+        "apply_adjacency": lambda: apply_adjacency(f),
+        "induce": lambda: induce(f, 4),
+        "induce_down_one": lambda: induce_down_one(f),
+        "reduce": lambda: reduce(f, 0, 3),
+        "build_canonical": lambda: build_canonical(p, PairingConfig(((0, 1),))),
+        "read_function": lambda: read_function(path)[0],
+        "member": lambda: space.member([1, Fraction(-1, 2), 0, 3]),
+    }
+    for name, route in routes.items():
+        calls.clear()
+        assert isinstance(route(), SparseFunction)
+        assert len(calls) == 1, name
+    for search in (min_support_bnb, min_support_hyperplane):
+        calls.clear()
+        witnesses = search(space).witnesses
+        assert len(calls) == len(witnesses) > 0, search.__name__
+
+
+@pytest.mark.parametrize("x, message", [
+    (None, "^vertex None is not an int bitmask$"),
+    ("x", "^vertex 'x' is not an int bitmask$"),
+    (1.0, "^vertex 1.0 is not an int bitmask$"),
+    (0b111, "^bitmask 0b111 is not a vertex of J\\(5,2\\)$"),
+])
+def test_call_refuses_what_is_not_a_vertex(x, message):
+    # each of these used to answer 0
+    f = SparseFunction(_P52, {V([0, 1]): Fraction(1, 3)})
+    with pytest.raises(ParameterError, match=message):
+        f(x)
+    assert (f(V([0, 1])), f(V([2, 3]))) == (Fraction(1, 3), 0)
+
+
+@pytest.mark.parametrize("op", [lambda f: f + 1, lambda f: 1 + f, lambda f: f - None,
+                                lambda f: f + None, lambda f: f - f.params],
+                         ids=["f+1", "1+f", "f-None", "f+None", "f-params"])
+def test_arithmetic_with_a_non_function_raises_type_error(op):
+    # f + 1, f + None and f - params used to end in an AttributeError
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(SparseFunction(_P52, {V([0, 1]): 1}))
 
 
 # -- the scatter A = U D - w I against the gather by definition --------------------

@@ -774,7 +774,7 @@ def test_staircase_walk_keeps_its_invariant(case):
     rows, paths = case
     stats = SearchStats()
     memo: dict = {}
-    start_leads, start_cols = map(list, zip(*IntEchelon(len(rows), zip(*rows)).reduced()))
+    start_leads, start_cols = map(list, zip(*IntEchelon(zip(*rows)).reduced()))
     _assert_staircase(rows, start_cols, start_leads, 0, [])
     # the columns settled one by one from row 0 lead at the same rows
     settled: list[list[int]] = []

@@ -135,6 +135,16 @@ def test_survivors_and_iterated_reduce_refuse_an_item_that_is_not_a_pair(pair):
         iterated_reduce(canonical(6, 3, 1), [(0, 1), pair])
 
 
+@pytest.mark.parametrize("pairs", [None, 5])
+def test_survivors_and_iterated_reduce_refuse_pairs_that_are_not_iterable(pairs):
+    # each used to end in a bare TypeError ("... is not iterable")
+    message = f"^pairs {pairs!r} are not an iterable of pairs$"
+    with pytest.raises(ParameterError, match=message):
+        survivor_coordinates(5, pairs)
+    with pytest.raises(ParameterError, match=message):
+        iterated_reduce(canonical(5, 2, 1), pairs)
+
+
 def test_survivors_quote_a_coordinate_past_the_digit_limit():
     # formatting 10**5000 with str used to end in a bare ValueError
     message = r"^bad reduction pair \(<unprintable>,1\) for 6 coordinates$"
