@@ -36,9 +36,7 @@ from .fileformat import read_function, write_function
 from .johnson import (
     JohnsonParams,
     SparseFunction,
-    adjacent,
     apply_adjacency,
-    johnson_distance,
     neighbors,
 )
 from .minsupport import (
@@ -53,10 +51,7 @@ from .operators import (
     coordinate_partition,
     induce,
     induce_down_one,
-    iterated_reduce,
     reduce,
-    survivor_coordinates,
-    zero_pair,
 )
 from .spectral import (
     EigenspaceBasis,
@@ -66,7 +61,6 @@ from .spectral import (
     eigenspace_basis,
     eigenspace_dimension,
     eigenvalue,
-    eigenvalue_index,
     is_eigenfunction,
     spectrum,
 )

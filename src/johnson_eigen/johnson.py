@@ -59,6 +59,11 @@ class JohnsonParams(namedtuple("JohnsonParams", "n w")):
         return vertices_in_rank_order(self.n, self.w)
 
 
+def _check_params(params) -> None:
+    if not isinstance(params, JohnsonParams):
+        raise ParameterError(f"params {brief(params)} is not a JohnsonParams")
+
+
 class SparseFunction:
     """Exact-rational function on the vertices of one J(n,w), stored by support.
 
@@ -74,6 +79,7 @@ class SparseFunction:
     __slots__ = ("params", "den", "nums")
 
     def __new__(cls, params: JohnsonParams, entries: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
+        _check_params(params)
         if not isinstance(entries, Iterable):
             raise ParameterError(f"entries {brief(entries)} are not a mapping or an iterable of pairs")
         nums: dict[int, int] = {}
@@ -118,12 +124,16 @@ class SparseFunction:
     def __setattr__(self, name, value):
         raise AttributeError("SparseFunction is immutable")
 
+    def __reduce__(self):
+        return SparseFunction._from_sums, (self.params, dict(self.nums), self.den)
+
     @classmethod
     def zero(cls, params: JohnsonParams) -> "SparseFunction":
         return cls(params)
 
     @classmethod
     def constant(cls, params: JohnsonParams, value: Rational) -> "SparseFunction":
+        _check_params(params)
         if params.num_vertices > MAX_OUTPUT_TERMS:
             raise SizeBudgetError(f"J({params.n},{params.w}) has {params.num_vertices} vertices, "
                                   f"over the cap {MAX_OUTPUT_TERMS}")
@@ -160,21 +170,23 @@ class SparseFunction:
         return hash((self.params, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other: "SparseFunction") -> "SparseFunction":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "SparseFunction") -> "SparseFunction":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "SparseFunction", sign: int) -> "SparseFunction":
+        """self + sign * other, for sign +-1, built once."""
         if not isinstance(other, SparseFunction):
             return NotImplemented
         if self.params != other.params:
             raise ParamsMismatchError(f"functions live on J{tuple(self.params)} and J{tuple(other.params)}")
         den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
+        a, b = den // self.den, sign * (den // other.den)
         sums = {x: a * s for x, s in self.nums.items()}
         for x, s in other.nums.items():
             sums[x] = sums.get(x, 0) + b * s
         return SparseFunction._from_sums(self.params, sums, den)
-
-    def __sub__(self, other: "SparseFunction") -> "SparseFunction":
-        if not isinstance(other, SparseFunction):
-            return NotImplemented
-        return self + other.scale(-1)
 
     def __neg__(self) -> "SparseFunction":
         return self.scale(-1)
@@ -183,25 +195,8 @@ class SparseFunction:
         p, q = check_rational(c).numerator, c.denominator
         return SparseFunction._from_sums(self.params, {x: p * s for x, s in self.nums.items()}, q * self.den)
 
-    def total(self) -> Fraction:
-        return Fraction(sum(self.nums.values()), self.den)
-
     def __repr__(self):
         return f"SparseFunction(J({self.params.n},{self.params.w}), {self.support_size} nonzeros)"
-
-
-def adjacent(x: int, y: int, params: JohnsonParams) -> bool:
-    """True iff the two vertices share exactly w-1 common ones."""
-    params.check_vertex(x)
-    params.check_vertex(y)
-    return (x & y).bit_count() == params.w - 1
-
-
-def johnson_distance(x: int, y: int, params: JohnsonParams) -> int:
-    """|supp(x) \\ supp(y)|, which is half the Hamming distance."""
-    params.check_vertex(x)
-    params.check_vertex(y)
-    return (x & ~y).bit_count()
 
 
 def neighbors(x: int, params: JohnsonParams) -> list[int]:

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterable
 
-from .errors import ParameterError, SizeBudgetError, brief, is_int
+from .errors import ParameterError, SizeBudgetError, is_int
 from .johnson import MAX_OUTPUT_TERMS, JohnsonParams, SparseFunction, down_sums
 
 
@@ -88,47 +87,6 @@ def _check_reduction_coords(params: JohnsonParams, j1: int, j2: int) -> None:
             raise ParameterError(f"coordinate {j!r} is not an int in 0..{params.n - 1}")
     if j1 == j2:
         raise ParameterError("reduction needs two distinct coordinates")
-
-
-def iterated_reduce(f: SparseFunction, pairs) -> SparseFunction:
-    """Compose reductions left to right; each pair indexes coordinates of the current graph."""
-    pairs = list(pairs) if isinstance(pairs, Iterable) else pairs
-    survivor_coordinates(f.params.n, pairs)  # checks pairs and each pair before the first reduction
-    for j1, j2 in pairs:
-        f = reduce(f, j1, j2)
-    return f
-
-
-def survivor_coordinates(n: int, pairs) -> list[int]:
-    """Original indices of the coordinates that survive iterated_reduce with these pairs.
-
-    Position p of the final graph corresponds to original coordinate
-    survivor_coordinates(n, pairs)[p], which is what lets reduction chains be
-    stated against the coordinates of the starting graph.
-    """
-    if not is_int(n):
-        raise ParameterError(f"n must be an int, got {n!r}")
-    if not isinstance(pairs, Iterable):
-        raise ParameterError(f"pairs {brief(pairs)} are not an iterable of pairs")
-    survivors = list(range(n))
-    for pair in pairs:
-        try:
-            j1, j2 = pair
-        except (TypeError, ValueError):
-            raise ParameterError(f"bad reduction pair {brief(pair)} for {len(survivors)} coordinates") from None
-        if j1 == j2 or not all(is_int(j) and 0 <= j < len(survivors) for j in (j1, j2)):
-            raise ParameterError(f"bad reduction pair ({brief(j1)},{brief(j2)}) for {len(survivors)} coordinates")
-        for j in sorted((j1, j2), reverse=True):
-            del survivors[j]
-    return survivors
-
-
-def zero_pair(f: SparseFunction, j1: int, j2: int) -> bool:
-    """True iff the (j1,j2) reduction of f vanishes; equivalently f is invariant
-    under transposing the two coordinates, which is tested without building
-    the reduction."""
-    _check_reduction_coords(f.params, j1, j2)
-    return swap_maps_to(f, j1, j2, 1)
 
 
 def swap_maps_to(f: SparseFunction, a: int, b: int, sign: int) -> bool:

@@ -58,17 +58,6 @@ def spectrum(params: JohnsonParams) -> list[EigenvalueInfo]:
     ]
 
 
-def eigenvalue_index(params: JohnsonParams, lam: int) -> int:
-    """The index i with lambda_i = lam, unique since lambda_0 > ... > lambda_m are the
-    whole spectrum (eigenspace_dimension); ParameterError if lam is not an eigenvalue."""
-    if not is_int(lam):
-        raise ParameterError(f"eigenvalue {lam!r} is not an int")
-    for info in spectrum(params):
-        if info.lam == lam:
-            return info.i
-    raise ParameterError(f"{lam} is not an eigenvalue of J({params.n},{params.w})")
-
-
 class EigenspaceBasis(namedtuple("EigenspaceBasis", "params i lam basis")):
     """Exact basis of one eigenspace; rows of `basis` follow vertex rank order.
     ParameterError unless i is an int in 0..w and lam an int (bool is neither)."""

@@ -41,7 +41,6 @@ from johnson_eigen import (
     support_size_bound,
     unrank_subset,
     verify_bound,
-    zero_pair,
 )
 from johnson_eigen.cli import run as cli_run
 from johnson_eigen.fileformat import document_to_function, function_to_document
@@ -204,7 +203,7 @@ def test_criterion_5_reduction_lemmas(capsys):
         zp = {}
         for a in range(n):
             for b in range(a + 1, n):
-                zp[a, b] = zero_pair(f, a, b)
+                zp[a, b] = reduce(f, a, b).is_zero()
         for a in range(n):
             for b in range(a + 1, n):
                 for c in range(b + 1, n):

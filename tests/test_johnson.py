@@ -1,6 +1,8 @@
-"""Graph model: adjacency, distance, neighborhoods, adjacency operator."""
+"""Graph model: neighborhoods, sparse functions, adjacency operator."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,18 +16,17 @@ from johnson_eigen import (
     ParamsMismatchError,
     SizeBudgetError,
     SparseFunction,
-    adjacent,
     apply_adjacency,
     build_canonical,
     eigenspace_basis,
     induce,
     induce_down_one,
-    johnson_distance,
     min_support_bnb,
     min_support_hyperplane,
     neighbors,
     read_function,
     reduce,
+    verify_bound,
     write_function,
 )
 from johnson_eigen.canonical import pairing_values
@@ -63,30 +64,6 @@ def test_params_require_ints(n, w):
         JohnsonParams(n, w)
 
 
-def test_adjacent_examples():
-    p = JohnsonParams(5, 2)
-    assert adjacent(V([0, 1]), V([0, 2]), p)
-    assert not adjacent(V([0, 1]), V([2, 3]), p)
-    p3 = JohnsonParams(3, 3)
-    assert not adjacent(V([0, 1, 2]), V([0, 1, 2]), p3)
-
-
-def test_distance_examples():
-    p = JohnsonParams(5, 2)
-    assert johnson_distance(V([0, 1]), V([0, 1]), p) == 0
-    assert johnson_distance(V([0, 1]), V([0, 2]), p) == 1
-    p6 = JohnsonParams(6, 3)
-    assert johnson_distance(V([0, 1, 2]), V([3, 4, 5]), p6) == 3
-
-
-def test_distance_is_half_hamming():
-    p = JohnsonParams(6, 3)
-    verts = list(p.vertices())
-    for x in verts:
-        for y in verts:
-            assert 2 * johnson_distance(x, y, p) == (x ^ y).bit_count()
-
-
 def test_neighbors_examples():
     p = JohnsonParams(5, 2)
     ns = neighbors(V([0, 1]), p)
@@ -102,7 +79,7 @@ def test_neighbors_degree_and_uniqueness():
             ns = neighbors(x, p)
             assert len(ns) == p.degree
             assert len(set(ns)) == len(ns)
-            assert all(adjacent(x, y, p) for y in ns)
+            assert all((x & y).bit_count() == p.w - 1 for y in ns)
 
 
 def test_sparse_function_drops_zeros_and_validates():
@@ -185,7 +162,7 @@ def test_apply_adjacency_regularity_sum():
         for w in range(0, n + 1):
             p = JohnsonParams(n, w)
             f = random_sparse_function(p, rng, density=0.5)
-            assert apply_adjacency(f).total() == p.degree * f.total()
+            assert sum(apply_adjacency(f).entries.values()) == p.degree * sum(f.entries.values())
 
 
 def test_apply_adjacency_matches_dense_matrix():
@@ -312,7 +289,6 @@ def test_representation_is_lowest_terms_and_agrees_with_fractions(start, steps):
         assert all(type(s) is int and s for s in f.nums.values())
         assert f.entries == ref and all(type(v) is Fraction for v in f.entries.values())
         assert [f(x) for x in _VERTICES] == [ref.get(x, 0) for x in _VERTICES]
-        assert f.total() == sum(ref.values())
         same = SparseFunction(_P, [(x, ref[x]) for x in reversed(list(ref))])
         assert f == same
         assert (f.den, f.nums) == (same.den, same.nums) and hash(f) == hash(same)
@@ -389,12 +365,14 @@ def test_every_route_stores_its_function_through_from_sums_once(monkeypatch, tmp
     path = str(tmp_path / "f.json")
     write_function(path, f)
     space = eigenspace_basis(_P52, 1)
+    twice = f.scale(2)
     routes = {
         "constructor": lambda: SparseFunction(p, {V([0, 1, 2]): Fraction(1, 2), V([0, 1, 3]): 0}),
         "zero": lambda: SparseFunction.zero(p),
         "constant": lambda: SparseFunction.constant(p, Fraction(2, 3)),
         "scale": lambda: f.scale(Fraction(4, 3)),
         "+": lambda: f + f,
+        "-": lambda: f - twice,
         "apply_adjacency": lambda: apply_adjacency(f),
         "induce": lambda: induce(f, 4),
         "induce_down_one": lambda: induce_down_one(f),
@@ -411,6 +389,38 @@ def test_every_route_stores_its_function_through_from_sums_once(monkeypatch, tmp
         calls.clear()
         witnesses = search(space).witnesses
         assert len(calls) == len(witnesses) > 0, search.__name__
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SparseFunction(None),
+    lambda: SparseFunction((5, 2), {3: 1}),
+    lambda: SparseFunction.zero(None),
+    lambda: SparseFunction.constant(None, 1),
+    lambda: SparseFunction.constant((5, 2), 1),
+], ids=["constructor-none", "constructor-tuple", "zero-none", "constant-none", "constant-tuple"])
+def test_a_function_needs_johnson_params(build):
+    # SparseFunction(None) used to return a function whose repr raised AttributeError,
+    # and the other four ended in an AttributeError
+    with pytest.raises(ParameterError, match=r"^params (None|\(5, 2\)) is not a JohnsonParams$"):
+        build()
+
+
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_function_copies_and_pickles_to_an_equal_immutable_function(round_trip):
+    # copy and deepcopy used to raise TypeError from __new__, pickle "cannot pickle 'mappingproxy' object"
+    for f in (SparseFunction(_P52, {V([0, 1]): Fraction(-3, 4), V([2, 4]): 5}), SparseFunction.zero(_P52)):
+        g = round_trip(f)
+        assert g == f and hash(g) == hash(f) and (g.params, g.den, g.nums) == (f.params, f.den, f.nums)
+        with pytest.raises(TypeError):
+            g.nums[V([0, 1])] = 1
+        with pytest.raises(AttributeError, match="immutable"):
+            g.den = 1
+
+
+def test_a_search_report_pickles_with_its_witnesses():
+    report = verify_bound(JohnsonParams(6, 2), 2)
+    assert report.witnesses and pickle.loads(pickle.dumps(report)) == report
 
 
 @pytest.mark.parametrize("x, message", [

@@ -1,7 +1,6 @@
 """Induction, reduction, zero pairs, and the coordinate partition."""
 
 import math
-import re
 from fractions import Fraction
 
 import pytest
@@ -22,15 +21,12 @@ from johnson_eigen import (
     induce,
     induce_down_one,
     is_eigenfunction,
-    iterated_reduce,
     match_canonical,
     reduce,
     spectrum,
     support_size_bound,
-    survivor_coordinates,
     unrank_subset,
     vertices_in_rank_order,
-    zero_pair,
 )
 from johnson_eigen.operators import swap_maps_to
 
@@ -91,7 +87,7 @@ def test_reduce_examples():
     f = canonical(8, 3, 1)
     assert reduce(f, 5, 6).is_zero()  # both coordinates outside the pairing
 
-    rr = iterated_reduce(canonical(5, 2, 1), [(0, 1), (0, 1)])
+    rr = reduce(reduce(canonical(5, 2, 1), 0, 1), 0, 1)
     assert rr.is_zero() and rr.params == JohnsonParams(1, 0)
 
 
@@ -108,61 +104,6 @@ def test_reduce_antisymmetric_in_coordinate_order():
     rng = make_rng(31)
     f = random_sparse_function(JohnsonParams(6, 3), rng)
     assert reduce(f, 1, 4) == -reduce(f, 4, 1)
-
-
-def test_iterated_reduce_identity_and_survivors():
-    f = canonical(6, 3, 1)
-    assert iterated_reduce(f, []) == f
-    assert survivor_coordinates(6, []) == [0, 1, 2, 3, 4, 5]
-    assert survivor_coordinates(6, [(0, 1)]) == [2, 3, 4, 5]
-    assert survivor_coordinates(6, [(0, 1), (1, 3)]) == [2, 4]
-    with pytest.raises(ParameterError):
-        survivor_coordinates(6, [(0, 0)])
-
-
-@pytest.mark.parametrize("pair", [(1,), (0, 1, 2), 5, "a", None])
-def test_survivors_and_iterated_reduce_refuse_an_item_that_is_not_a_pair(pair):
-    # (1,), (0, 1, 2) and "a" used to end in a bare ValueError, 5 and None in a TypeError
-    message = "^" + re.escape(f"bad reduction pair {pair!r} for 6 coordinates") + "$"
-    with pytest.raises(ParameterError, match=message):
-        survivor_coordinates(6, [pair])
-    with pytest.raises(ParameterError, match=message):
-        iterated_reduce(canonical(6, 3, 1), [pair])
-    later = "^" + re.escape(f"bad reduction pair {pair!r} for 4 coordinates") + "$"
-    with pytest.raises(ParameterError, match=later):
-        survivor_coordinates(6, [(0, 1), pair])
-    with pytest.raises(ParameterError, match=later):
-        iterated_reduce(canonical(6, 3, 1), [(0, 1), pair])
-
-
-@pytest.mark.parametrize("pairs", [None, 5])
-def test_survivors_and_iterated_reduce_refuse_pairs_that_are_not_iterable(pairs):
-    # each used to end in a bare TypeError ("... is not iterable")
-    message = f"^pairs {pairs!r} are not an iterable of pairs$"
-    with pytest.raises(ParameterError, match=message):
-        survivor_coordinates(5, pairs)
-    with pytest.raises(ParameterError, match=message):
-        iterated_reduce(canonical(5, 2, 1), pairs)
-
-
-def test_survivors_quote_a_coordinate_past_the_digit_limit():
-    # formatting 10**5000 with str used to end in a bare ValueError
-    message = r"^bad reduction pair \(<unprintable>,1\) for 6 coordinates$"
-    for call in (survivor_coordinates, lambda n, pairs: iterated_reduce(canonical(n, 3, 1), pairs)):
-        with pytest.raises(ParameterError, match=message):
-            call(6, [(10 ** 5000, 1)])
-
-
-def test_survivor_coordinates_match_reduction_semantics():
-    # reducing on original coordinates (a,b) then on the renumbered pair equals
-    # composing deletions tracked by survivor_coordinates
-    f = canonical(8, 3, 1, pairs=[(2, 5)])
-    pairs = [(1, 6), (0, 3)]
-    g = iterated_reduce(f, pairs)
-    survivors = survivor_coordinates(8, pairs)
-    assert g.params.n == len(survivors) == 4
-    # original pairing coordinates 2 and 5 survive and map order-preservingly
-    assert survivors.index(2) == 0 and survivors.index(5) == 2
 
 
 def test_lambda_shift_identity():
@@ -193,16 +134,6 @@ def test_reduce_maps_eigenfunctions_down_one_index():
         assert is_eigenfunction(g, lam_red).holds
 
 
-def test_zero_pair_examples():
-    f = canonical(5, 2, 1)
-    assert zero_pair(f, 2, 3)
-    assert not zero_pair(f, 0, 2)
-    ones = SparseFunction.constant(JohnsonParams(5, 2), 1)
-    for j1 in range(5):
-        for j2 in range(j1 + 1, 5):
-            assert zero_pair(ones, j1, j2)
-
-
 @st.composite
 def _pair_cases(draw):
     n = draw(st.integers(2, 7))
@@ -219,7 +150,7 @@ def _pair_cases(draw):
 @given(_pair_cases())
 def test_zero_pair_matches_reduction(case):
     f, j1, j2 = case
-    assert zero_pair(f, j1, j2) == reduce(f, j1, j2).is_zero()
+    assert swap_maps_to(f, j1, j2, 1) == reduce(f, j1, j2).is_zero()
 
 
 @settings(max_examples=300, deadline=None)
@@ -235,17 +166,6 @@ def test_swap_maps_to_matches_definition(case, sign):
     assert swap_maps_to(canon, a, b, -1) and not swap_maps_to(canon, a, b, 1)
 
 
-def test_zero_pair_validation():
-    f = canonical(5, 2, 1)
-    for j1, j2 in [(1, 1), (0, 5), (5, 0), (-1, 2), (2, -1)]:
-        with pytest.raises(ParameterError):
-            zero_pair(f, j1, j2)
-    for n in (2, 5):
-        for w in (0, n):
-            with pytest.raises(ParameterError):
-                zero_pair(SparseFunction.constant(JohnsonParams(n, w), 1), 0, 1)
-
-
 def test_zero_pair_transitivity():
     rng = make_rng(33)
     for trial in range(60):
@@ -256,8 +176,8 @@ def test_zero_pair_transitivity():
         for j1 in range(n):
             for j2 in range(j1 + 1, n):
                 for j3 in range(j2 + 1, n):
-                    if zero_pair(f, j1, j2) and zero_pair(f, j1, j3):
-                        assert zero_pair(f, j2, j3)
+                    if reduce(f, j1, j2).is_zero() and reduce(f, j1, j3).is_zero():
+                        assert reduce(f, j2, j3).is_zero()
 
 
 def test_partition_examples():
@@ -299,7 +219,7 @@ def test_partition_agrees_with_pairwise_zero_pair_oracle():
                 cls[c] = b
         for j1 in range(n):
             for j2 in range(j1 + 1, n):
-                assert zero_pair(f, j1, j2) == (cls[j1] == cls[j2])
+                assert reduce(f, j1, j2).is_zero() == (cls[j1] == cls[j2])
 
 
 def test_partition_of_canonical_functions():
@@ -382,7 +302,7 @@ def test_reduce_induce_interplay():
         pairs = list(zip(coords[::2], coords[1::2]))
         f = build_canonical(JohnsonParams(n, w), PairingConfig(tuple(pairs)))
         for k, (a, b) in enumerate(pairs):
-            position = {c: q for q, c in enumerate(survivor_coordinates(n, [(a, b)]))}
+            position = {c: q for q, c in enumerate(c for c in range(n) if c not in (a, b))}
             rest = tuple((position[c], position[d]) for c, d in pairs[:k] + pairs[k + 1:])
             lifted = build_canonical(JohnsonParams(n - 2, w - 1), PairingConfig(rest))
             assert reduce(f, a, b) == lifted.scale(-2), (n, w, pairs, k)
@@ -424,28 +344,21 @@ _F52 = build_canonical(JohnsonParams(5, 2), default_pairing(1))
     lambda: reduce(_F52, 0.0, 1),
     lambda: induce(_F52, 3.0),
     lambda: match_canonical(_F52, 1.0),
-    lambda: zero_pair(_F52, 0.0, 1),
     lambda: default_pairing(1.0),
     lambda: support_size_bound(5, 2, 1.0),
     lambda: binomial(5.0, 2),
 ], ids=["reduce-bool", "unrank-float", "bound-bool", "reduce-float", "induce", "match",
-        "zero_pair", "default_pairing", "bound-float", "binomial"])
+        "default_pairing", "bound-float", "binomial"])
 def test_non_int_arguments_raise_parameter_error(call):
     with pytest.raises(ParameterError, match="int"):
         call()
 
 
 @pytest.mark.parametrize("call, message", [
-    # the bool ones used to run as 1: survivors [0, 3, 4] and [0], and the five w=1 vertices
-    (lambda: survivor_coordinates(5, [(True, 2)]), r"^bad reduction pair \(True,2\) for 5 coordinates$"),
-    (lambda: survivor_coordinates(True, []), "^n must be an int, got True$"),
+    # the bool one used to yield the five w=1 vertices, the float one to end in a bare TypeError
     (lambda: list(vertices_in_rank_order(5, True)), "^n and w must be ints, got 5, True$"),
-    # the float ones used to end in a bare TypeError
-    (lambda: survivor_coordinates(5, [(0.0, 1)]), r"^bad reduction pair \(0.0,1\) for 5 coordinates$"),
-    (lambda: survivor_coordinates(5.0, []), r"^n must be an int, got 5\.0$"),
     (lambda: list(vertices_in_rank_order(5.0, 2)), "^n and w must be ints, got 5.0, 2$"),
-], ids=["survivors-bool", "survivors-n-bool", "rank-order-bool",
-        "survivors-float", "survivors-n-float", "rank-order-float"])
-def test_survivors_and_rank_order_reject_non_int_arguments(call, message):
+], ids=["rank-order-bool", "rank-order-float"])
+def test_rank_order_rejects_non_int_arguments(call, message):
     with pytest.raises(ParameterError, match=message):
         call()

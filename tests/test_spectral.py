@@ -24,7 +24,6 @@ from johnson_eigen import (
     eigenspace_basis,
     eigenspace_dimension,
     eigenvalue,
-    eigenvalue_index,
     is_eigenfunction,
     nullspace,
     spectrum,
@@ -64,7 +63,6 @@ def test_the_spectrum_is_lambda_0_to_lambda_min_w_n_minus_w():
             assert all(a.lam > b.lam for a, b in zip(infos, infos[1:])), (n, w)
             assert all(e.multiplicity > 0 for e in infos), (n, w)
             assert sum(e.multiplicity for e in infos) == binomial(n, w), (n, w)
-            assert all(eigenvalue_index(p, e.lam) == e.i for e in infos), (n, w)
 
 
 def test_formula_multiplicities_telescope():
@@ -112,18 +110,6 @@ def test_eigenvalues_strictly_decreasing_when_n_ge_2w():
             assert all(a > b for a, b in zip(lams, lams[1:]))
 
 
-def test_eigenvalue_index_lookup():
-    p = JohnsonParams(5, 2)
-    assert eigenvalue_index(p, 1) == 1
-    with pytest.raises(Exception):
-        eigenvalue_index(p, 7)
-    # J(4,3) has lambda_2 = lambda_3 = -3, J(5,4) lambda_3 = -5 and lambda_2 =
-    # lambda_4 = -4; the spectrum ends at min(w, n-w) = 1, so none is an eigenvalue
-    for n, w, lam in [(4, 3, -3), (5, 4, -5), (5, 4, -4)]:
-        with pytest.raises(ParameterError, match=rf"^{lam} is not an eigenvalue of J\({n},{w}\)$"):
-            eigenvalue_index(JohnsonParams(n, w), lam)
-
-
 @pytest.mark.parametrize("i", [1.0, True, "1"])
 def test_eigenvalue_index_must_be_an_int(i):
     # eigenspace_basis(p, 1.0) and (p, True) used to run as index 1
@@ -136,15 +122,12 @@ def test_eigenvalue_index_must_be_an_int(i):
 @pytest.mark.parametrize("lam", ["1", 1.0, True, Fraction(1), None])
 def test_eigenvalue_must_be_an_int(lam):
     # is_eigenfunction(f, "1") used to give a verdict with a certificate ("1" * k is
-    # string repetition), 1.0 to decide in floats and True to run as 1;
-    # eigenvalue_index took 1.0, True and Fraction(1) as 1
+    # string repetition), 1.0 to decide in floats and True to run as 1
     p = JohnsonParams(5, 2)
     message = f"^eigenvalue {re.escape(repr(lam))} is not an int$"
     for f in (build_canonical(p, default_pairing(1)), SparseFunction.zero(p)):
         with pytest.raises(ParameterError, match=message):
             is_eigenfunction(f, lam)
-    with pytest.raises(ParameterError, match=message):
-        eigenvalue_index(p, lam)
 
 
 def test_member_needs_one_coefficient_per_basis_column():
