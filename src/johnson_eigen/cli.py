@@ -98,7 +98,7 @@ def _vertex_label(x: int) -> str:
 
 
 def _write_function_output(f, lambda_index, out_path) -> None:
-    if out_path:
+    if out_path is not None:
         write_function(out_path, f, lambda_index)
     else:
         sys.stdout.write(dumps_document(function_to_document(f, lambda_index)))
@@ -163,10 +163,10 @@ def cmd_canonical(args) -> int:
     params = JohnsonParams(args.n, args.w)
     if args.i > params.w:  # before default_pairing builds args.i pairs
         raise ParameterError(f"pairing size {args.i} exceeds weight {params.w}")
-    pairing = _parse_pairs(args.pairs) if args.pairs else default_pairing(args.i)
+    pairing = _parse_pairs(args.pairs) if args.pairs is not None else default_pairing(args.i)
     if pairing.size != args.i:
         raise ParameterError(f"--pairs gives {pairing.size} pairs but --i is {args.i}")
-    if args.out:
+    if args.out is not None:
         check_writable(args.out)  # an unwritable path fails before the build
     f = build_canonical(params, pairing)
     _write_function_output(f, args.i, args.out)
@@ -197,7 +197,7 @@ def cmd_induce(args) -> int:
         raise ParameterError(
             f"target weight {args.target_w} unsupported: upward needs >= {w}, downward only {w - 1}"
         )
-    if args.out:
+    if args.out is not None:
         check_writable(args.out)  # an unwritable path fails before the build
     if args.target_w >= w:
         g = induce(f, args.target_w)
@@ -211,7 +211,7 @@ def cmd_induce(args) -> int:
 
 def cmd_reduce(args) -> int:
     f, stored_index = read_function(args.func_path)
-    if args.out:
+    if args.out is not None:
         check_writable(args.out)  # an unwritable path fails before the build
     g = reduce(f, args.j1, args.j2)
     out_index = stored_index - 1 if stored_index is not None and stored_index >= 1 else None
@@ -251,7 +251,7 @@ def cmd_minsupport(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.csv:
+    if args.csv is not None:
         check_writable(args.csv)  # an unwritable path fails before the sweep
     max_w = args.max_w if args.max_w is not None else args.max_n
     rows = []
@@ -285,7 +285,7 @@ def cmd_table(args) -> int:
     writer = csv.writer(out)
     writer.writerow(header)
     writer.writerows(rows)
-    if args.csv:
+    if args.csv is not None:
         write_text(args.csv, out.getvalue())
         print(f"wrote {len(rows)} rows to {args.csv}")
     else:

@@ -2,10 +2,10 @@
 
 combine is the package's one elimination step, the cross-multiplication of
 two integer vectors that clears one entry; the minimum-support searches use
-it on their kernel columns. IntEchelon is its one elimination engine: a
-fraction-free row echelon over integer rows built from combine, which
+it on their kernel columns. reduced_echelon is its one elimination: a single
+fraction-free Gauss-Jordan pass over integer rows built from combine, which
 divides each new row by its content; unlike Bareiss's method it never
-divides by the previous pivot. Its reduced() is the canonical reduced form. A
+divides by the previous pivot. Its result is the canonical reduced form. A
 rational matrix enters it through integer_rows, which scales every row by
 the lcm of all its denominators; scaling a row leaves its row space alone,
 so rank and kernel are those of the rational matrix. Kernel bases are
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from collections.abc import Sequence
+from functools import cache
 from operator import add, neg, sub
 
 from .errors import BasisCheckError, ParameterError, check_rational, is_int
@@ -84,70 +85,50 @@ def combine(col: Sequence[int], pivot: Sequence[int], r: int) -> list[int]:
     return [x // g for x in new] if g > 1 else new
 
 
-class IntEchelon:
-    """Incremental exact echelon over integer rows.
+def reduced_echelon(rows) -> list[tuple[int, list[int]]]:
+    """The reduced echelon form of integer rows: (pivot, row) pairs sorted by
+    pivot, each row content-reduced, led by its pivot and zero at every other
+    pivot; its length is the rank.
 
-    Stored rows are content-reduced and zero at the leading column (pivot) of
-    every row stored before them; pivot signs are left as they fall. The
-    given rows are reduced in order and each independent one is pushed.
+    One fraction-free Gauss-Jordan pass: each row is divided by its content
+    and combined at every kept pivot where it is nonzero. What is left, if
+    anything, is zero at every kept pivot, so clearing its leading column p
+    from each kept row that is nonzero there keeps that row's pivot (left of
+    p) and its zeros at the other pivots; then the row is kept. Pivot signs
+    are left as they fall.
     """
-
-    def __init__(self, rows=()):
-        self.rows: list[tuple[int, ...]] = []
-        self.pivots: list[int] = []
-        for row in rows:
-            reduced = self.reduce(row)
-            if reduced:
-                self.push(reduced)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, row) -> tuple[int, ...]:
-        """Reduce a row against the stored rows: its content divided out, then one
-        combine at each stored pivot where it is nonzero. () means dependent."""
+    kept = []
+    for row in rows:
         g = math.gcd(*row)
         if not g:
-            return ()
-        cur = [x // g for x in row] if g > 1 else row
-        for stored, p in zip(self.rows, self.pivots):
+            continue
+        cur = [x // g for x in row]
+        for p, stored in kept:
             if cur[p]:
                 cur = combine(cur, stored, p)
-        return tuple(cur) if any(cur) else ()
-
-    def push(self, reduced: tuple[int, ...]) -> None:
-        p = next(j for j, x in enumerate(reduced) if x)
-        self.rows.append(reduced)
-        self.pivots.append(p)
-
-    def reduced(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The reduced echelon form: (pivot, row) pairs sorted by pivot, each
-        row zero at every other pivot.
-
-        One fraction-free Gauss-Jordan pass: the stored rows are reduced
-        again, last first, against those already cleared. A row stored later
-        is zero at every earlier pivot and left of its own, so clearing it
-        from an earlier row keeps that row's pivot.
-        """
-        jordan = IntEchelon(reversed(self.rows))
-        return sorted(zip(jordan.pivots, jordan.rows))
+        p = next((j for j, x in enumerate(cur) if x), None)
+        if p is not None:
+            kept = [(q, combine(stored, cur, p) if stored[p] else stored) for q, stored in kept]
+            kept.append((p, cur))
+    return sorted(kept)
 
 
 def nullspace(m: ExactMatrix) -> ExactMatrix:
     """Canonical exact basis of {v : m @ v = 0}, one column per free column fc of the
-    RREF: 1 at fc, 0 at every other free column and -row[fc] / row[p] at each pivot p."""
+    RREF: 1 at fc, 0 at every other free column and -row[fc] / row[p] at each pivot p.
+    The entries repeat, so each distinct one is built once and shared."""
     nc = m.cols
-    reduced = IntEchelon(m.integer_rows()).reduced()
+    reduced = reduced_echelon(m.integer_rows())
     piv_set = {p for p, _ in reduced}
     free = [c for c in range(nc) if c not in piv_set]
     d = len(free)
-    flat = [Fraction(0)] * (nc * d)
+    frac = cache(Fraction)
+    flat = [frac(0)] * (nc * d)
     for j, fc in enumerate(free):
-        flat[fc * d + j] = Fraction(1)
+        flat[fc * d + j] = frac(1)
         for p, row in reduced:
             if row[fc]:
-                flat[p * d + j] = Fraction(-row[fc], row[p])
+                flat[p * d + j] = frac(-row[fc], row[p])
     return ExactMatrix(nc, d, flat)
 
 
@@ -161,15 +142,17 @@ def span_basis(rows: Sequence[Sequence[int]], width: int, rank: int) -> ExactMat
     last nonzero entry at c, so the free columns are the pivots of E's rows
     with the coordinate order reversed. In the reduced form of the reversed
     rows each row is zero at every other pivot; divided by its pivot entry
-    it is the vector of that free column.
+    it is the vector of that free column. As in nullspace, each distinct
+    entry is built once and shared.
     """
-    ech = IntEchelon(row[::-1] for row in rows)
-    if ech.rank != rank:
-        raise BasisCheckError(f"rows span a space of dimension {ech.rank}, expected {rank}")
-    flat = [Fraction(0)] * (width * rank)
-    for c, (p, row) in enumerate(reversed(ech.reduced())):
+    reduced = reduced_echelon(row[::-1] for row in rows)
+    if len(reduced) != rank:
+        raise BasisCheckError(f"rows span a space of dimension {len(reduced)}, expected {rank}")
+    frac = cache(Fraction)
+    flat = [frac(0)] * (width * rank)
+    for c, (p, row) in enumerate(reversed(reduced)):
         piv = row[p]
         for q, x in enumerate(row):
             if x:
-                flat[(width - 1 - q) * rank + c] = Fraction(x, piv)
+                flat[(width - 1 - q) * rank + c] = frac(x, piv)
     return ExactMatrix(width, rank, flat)

@@ -47,7 +47,7 @@ from operator import neg
 
 from .canonical import match_canonical, support_size_bound
 from .errors import OracleDisagreementError, ParameterError, SizeBudgetError, is_int
-from .exact_linalg import IntEchelon, combine
+from .exact_linalg import combine, reduced_echelon
 from .johnson import JohnsonParams, SparseFunction
 from .spectral import EigenspaceBasis, eigenspace_basis, is_eigenfunction
 
@@ -210,19 +210,19 @@ class _WitnessPool:
     Both searches run on the basis scaled by the lcm of all its
     denominators, a positive scaling that changes no zero test, and offer
     the value vectors of their candidates on its rows. columns holds its
-    columns and echelon their IntEchelon, whose rank must be full (the lemma
-    in the module docstring needs it too); ParameterError is raised
-    otherwise. A vector is kept divided by its gcd with a positive value at
-    the lowest-rank support vertex, so two offers of the same member up to
+    columns and echelon their reduced_echelon, the bnb's start; its length,
+    the rank, must be full (the lemma in the module docstring needs it too),
+    and ParameterError is raised otherwise. A vector is kept divided by its
+    gcd with a positive value at the lowest-rank support vertex, so two offers of the same member up to
     scalar are kept once. As c -> basis @ c is injective, these keys
     correspond one to one with the candidates' kernel normals.
     """
 
     def __init__(self, basis, cap: int, stats: SearchStats):
         self.columns = [list(col) for col in zip(*basis.integer_rows())]
-        self.echelon = IntEchelon(self.columns)
-        if self.echelon.rank < basis.cols:
-            raise ParameterError(f"basis has rank {self.echelon.rank}, below its {basis.cols} columns")
+        self.echelon = reduced_echelon(self.columns)
+        if len(self.echelon) < basis.cols:
+            raise ParameterError(f"basis has rank {len(self.echelon)}, below its {basis.cols} columns")
         self.cap = cap
         self.stats = stats
         self.best: int | None = None
@@ -399,7 +399,7 @@ def min_support_bnb(
         visit(k + 1, frees, cols, leads, o)
         frees.pop()
 
-    leads, cols = map(list, zip(*pool.echelon.reduced()))
+    leads, cols = map(list, zip(*pool.echelon))
     memo: dict = {}
     visit(0, [], cols, leads, 0)
     del visit  # visit refers to itself; breaking the cycle frees the memo, columns and pool on return

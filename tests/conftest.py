@@ -28,7 +28,7 @@ from johnson_eigen import (
     unrank_subset,
 )
 from johnson_eigen.errors import SizeBudgetError, brief, check_rational, is_int
-from johnson_eigen.exact_linalg import IntEchelon
+from johnson_eigen.exact_linalg import combine
 from johnson_eigen.minsupport import SearchReport, SearchStats
 from johnson_eigen.operators import swap_maps_to
 from johnson_eigen.spectral import EigenspaceBasis, EigenVerdict
@@ -95,17 +95,18 @@ def block_symmetrized_function(params: JohnsonParams, rng) -> SparseFunction:
 
 
 def rank(m) -> int:
-    """Exact rank over the rationals of an ExactMatrix, by the package's IntEchelon."""
-    return IntEchelon(m.integer_rows()).rank
+    """Exact rank over the rationals of an ExactMatrix, by ReferenceEchelon."""
+    return ReferenceEchelon(m.integer_rows()).rank
 
 
 # -- independent oracles ------------------------------------------------------
 
-def oracle_rank(rows) -> int:
-    """Textbook Gaussian elimination over Fractions; rows is a list of sequences."""
+def oracle_rref(rows) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced row echelon form, each with pivot entry 1,
+    by textbook Gauss-Jordan elimination over Fractions; rows is a list of sequences."""
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
-        return 0
+        return []
     ncols = len(m[0])
     rank = 0
     for c in range(ncols):
@@ -124,7 +125,12 @@ def oracle_rank(rows) -> int:
                 f = m[r][c]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
-    return rank
+    return m[:rank]
+
+
+def oracle_rank(rows) -> int:
+    """The rank of rows, as the number of rows of oracle_rref."""
+    return len(oracle_rref(rows))
 
 
 def oracle_mat_vec(m, v) -> list[Fraction]:
@@ -372,7 +378,45 @@ class ReferenceWitnessPool:
 
 # -- the elimination-driven searches, kept as oracles for the projected ones ---
 
-def reference_kernel(ech: IntEchelon, width: int) -> list[tuple[int, ...]]:
+class ReferenceEchelon:
+    """Incremental exact echelon over integer rows.
+
+    Stored rows are content-reduced and zero at the leading column (pivot) of
+    every row stored before them; pivot signs are left as they fall. The
+    given rows are reduced in order and each independent one is pushed.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: list[tuple[int, ...]] = []
+        self.pivots: list[int] = []
+        for row in rows:
+            reduced = self.reduce(row)
+            if reduced:
+                self.push(reduced)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row) -> tuple[int, ...]:
+        """Reduce a row against the stored rows: its content divided out, then one
+        combine at each stored pivot where it is nonzero. () means dependent."""
+        g = math.gcd(*row)
+        if not g:
+            return ()
+        cur = [x // g for x in row] if g > 1 else row
+        for stored, p in zip(self.rows, self.pivots):
+            if cur[p]:
+                cur = combine(cur, stored, p)
+        return tuple(cur) if any(cur) else ()
+
+    def push(self, reduced: tuple[int, ...]) -> None:
+        p = next(j for j, x in enumerate(reduced) if x)
+        self.rows.append(reduced)
+        self.pivots.append(p)
+
+
+def reference_kernel(ech: ReferenceEchelon, width: int) -> list[tuple[int, ...]]:
     """Canonical kernel basis of ech's stored rows, each of length width: one vector per free column.
 
     In increasing free-column order; each vector is coprime integers,
@@ -381,7 +425,7 @@ def reference_kernel(ech: IntEchelon, width: int) -> list[tuple[int, ...]]:
     fraction-free back-substitution: the vector for free column fc is
     zero at pivots beyond fc, and scaling it by the product of the
     pivots before fc makes every division exact (Cramer's rule on the
-    triangular system). An algorithm independent of IntEchelon.reduced.
+    triangular system). An algorithm independent of reduced_echelon.
     """
     order = sorted(range(len(ech.rows)), key=ech.pivots.__getitem__)
     rows = [ech.rows[k] for k in order]
@@ -415,8 +459,8 @@ def reference_kernel(ech: IntEchelon, width: int) -> list[tuple[int, ...]]:
     return out
 
 
-class _PushPopEchelon(IntEchelon):
-    """IntEchelon with the pop the reference branch and bound backtracks with."""
+class _PushPopEchelon(ReferenceEchelon):
+    """ReferenceEchelon with the pop the reference branch and bound backtracks with."""
 
     def pop(self) -> None:
         self.rows.pop()
@@ -504,7 +548,7 @@ def reference_hyperplane_scan(rows, nverts, d):
     done = 0
     for subset in itertools.combinations(range(nverts), d - 1):
         done += 1
-        ech = IntEchelon(map(rows.__getitem__, subset))
+        ech = ReferenceEchelon(map(rows.__getitem__, subset))
         if ech.rank != d - 1:
             continue
         c = reference_kernel(ech, d)[0]

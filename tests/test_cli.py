@@ -182,10 +182,17 @@ def test_minsupport_human_report(capsys, argv, code, expected):
 @pytest.mark.parametrize("pairs, message", [
     ("0:1:2", "bad pair '0:1:2'; expected a:b"),
     ("a:b", "bad pair 'a:b': invalid literal for int() with base 10: 'a'"),
-], ids=["three-parts", "not-ints"])
+    # an empty --pairs used to be taken as not given, so the default (0,1) was built
+    ("", "--pairs gives 0 pairs but --i is 1"),
+], ids=["three-parts", "not-ints", "empty"])
 def test_canonical_rejects_a_malformed_pair(capsys, pairs, message):
     argv = ["canonical", "--n", "6", "--w", "2", "--i", "1", "--pairs", pairs]
     assert invoke(capsys, argv) == (2, "", f"error[USAGE] {message}\n")
+
+
+def test_empty_pairs_at_index_0_is_the_empty_pairing(capsys):
+    argv = ["canonical", "--n", "4", "--w", "2", "--i", "0"]
+    assert invoke(capsys, argv + ["--pairs", ""]) == invoke(capsys, argv)
 
 
 def test_canonical_with_a_negative_index_is_usage_error(capsys):
@@ -588,6 +595,19 @@ def test_table_csv_that_cannot_be_written_is_bad_file(tmp_path, capsys):
     for path in (tmp_path / "missing" / "t.csv", tmp_path):
         code, out, err = invoke(capsys, ["table", "--max-n", "3", "--threads", "1", "--csv", str(path)])
         _assert_cannot_write(code, out, err, path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["canonical", "--n", "4", "--w", "2", "--i", "1", "--out"],
+    ["induce", "--func", "FUNC", "--target-w", "3", "--out"],
+    ["reduce", "--func", "FUNC", "--j1", "0", "--j2", "1", "--out"],
+    ["table", "--max-n", "2", "--csv"],
+], ids=["canonical", "induce", "reduce", "table"])
+def test_an_empty_output_path_is_bad_file(tmp_path, capsys, argv):
+    # an empty --out or --csv used to be taken as not given, so the output went to stdout
+    argv = [_canonical_file(tmp_path, capsys) if a == "FUNC" else a for a in argv]
+    code, out, err = invoke(capsys, argv + [""])
+    _assert_cannot_write(code, out, err, "")
 
 
 def test_table_checks_its_csv_path_before_the_sweep(tmp_path, capsys, monkeypatch):

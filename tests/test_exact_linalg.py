@@ -15,9 +15,18 @@ from johnson_eigen import (
     adjacency_matrix,
     nullspace,
 )
-from johnson_eigen.exact_linalg import IntEchelon, combine, span_basis
+from johnson_eigen.exact_linalg import combine, reduced_echelon, span_basis
 
-from conftest import make_rng, oracle_mat_vec, oracle_rank, random_rational, rank, reference_kernel
+from conftest import (
+    ReferenceEchelon,
+    make_rng,
+    oracle_mat_vec,
+    oracle_rank,
+    oracle_rref,
+    random_rational,
+    rank,
+    reference_kernel,
+)
 
 
 def shifted_adjacency(params, lam):
@@ -138,8 +147,10 @@ def test_integer_rows_scale_by_the_lcm_of_all_denominators():
 def _assert_engine_matches_oracle(ech, pushed, width):
     assert ech.rank == oracle_rank(pushed) == len(pushed)
     # filling a fresh echelon with the pushed rows gives the same stored rows
-    fresh = IntEchelon(pushed)
+    fresh = ReferenceEchelon(pushed)
     assert (fresh.rows, fresh.pivots) == (ech.rows, ech.pivots)
+    # distinct leads make the stored rows an echelon form: same pivots as the reduced one
+    assert [p for p, _ in reduced_echelon(pushed)] == sorted(ech.pivots)
     ns = nullspace(ExactMatrix(len(pushed), width, [x for row in pushed for x in row]))
     kern = reference_kernel(ech, width)
     assert len(kern) == ns.cols
@@ -158,7 +169,7 @@ def test_echelon_pushes_match_oracle():
     for _ in range(40):
         width = rng.randint(1, 6)
         gens = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(rng.randint(1, width))]
-        ech = IntEchelon()
+        ech = ReferenceEchelon()
         pushed: list[list[int]] = []
         _assert_engine_matches_oracle(ech, pushed, width)
         for _ in range(25):
@@ -206,9 +217,9 @@ def test_combine_and_reduce_of_a_dependent_row_give_zero(scale):
     row = [scale * x for x in base]
     for r in (0, 2, 3, 4):
         assert combine(row, base, r) == [0] * len(base)
-    ech = IntEchelon([base, [0, 1, 0, 0, 7]])
-    assert ech.reduce(row) == ()
-    assert ech.reduce([a + 5 * b for a, b in zip(row, ech.rows[1])]) == ()
+    other = [0, 1, 0, 0, 7]
+    assert len(reduced_echelon([base, other, row])) == 2
+    assert len(reduced_echelon([base, other, [a + 5 * b for a, b in zip(row, other)]])) == 2
 
 
 @st.composite
@@ -223,11 +234,28 @@ def _low_rank_rows(draw):
     return width, rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(_low_rank_rows())
+@st.composite
+def _rows_with_zeros_repeats_and_large_entries(draw):
+    width = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["mix", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+            rows.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(width)])
+    return width, rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_low_rank_rows(), _rows_with_zeros_repeats_and_large_entries()))
 def test_reduced_is_the_reduced_echelon_form_of_the_rows(case):
     width, rows = case
-    reduced = IntEchelon(rows).reduced()
+    reduced = reduced_echelon(rows)
     pivots = [p for p, _ in reduced]
     assert pivots == sorted(set(pivots))
     for p, row in reduced:
@@ -238,6 +266,13 @@ def test_reduced_is_the_reduced_echelon_form_of_the_rows(case):
     r = oracle_rank(rows)
     assert len(reduced) == r
     assert oracle_rank(rows + [list(row) for _, row in reduced]) == r
+    # divided row by row by its pivot entries it is the textbook Fraction RREF
+    assert [[Fraction(x, row[p]) for x in row] for p, row in reduced] == oracle_rref(rows)
+
+
+def test_reduced_echelon_of_no_rows_or_zero_rows_is_empty():
+    assert reduced_echelon([]) == []
+    assert reduced_echelon([[0, 0, 0], [0, 0, 0]]) == []
 
 
 def test_empty_shapes():

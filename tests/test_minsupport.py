@@ -28,7 +28,7 @@ from johnson_eigen import (
     verify_bound,
 )
 from johnson_eigen import canonical, minsupport
-from johnson_eigen.exact_linalg import ExactMatrix, IntEchelon, combine, nullspace
+from johnson_eigen.exact_linalg import ExactMatrix, combine, nullspace, reduced_echelon
 from johnson_eigen.minsupport import (
     SearchStats,
     _WitnessPool,
@@ -774,7 +774,7 @@ def test_staircase_walk_keeps_its_invariant(case):
     rows, paths = case
     stats = SearchStats()
     memo: dict = {}
-    start_leads, start_cols = map(list, zip(*IntEchelon(zip(*rows)).reduced()))
+    start_leads, start_cols = map(list, zip(*reduced_echelon(zip(*rows))))
     _assert_staircase(rows, start_cols, start_leads, 0, [])
     # the columns settled one by one from row 0 lead at the same rows
     settled: list[list[int]] = []

@@ -4,6 +4,9 @@ A caller is a reference by name, as a bare name or an attribute, in a module
 of src/johnson_eigen other than __init__.py or in a perfbench/ module other
 than its tests. A re-export from __init__.py or a call from tests/ alone
 keeps nothing alive; a definition's references to itself do not count.
+
+No src/ module computes in floating point: it has no true division, no float
+or round call and no float literal, save the one allowed below.
 """
 
 import ast
@@ -16,6 +19,8 @@ PERFBENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.st
 
 # Library constructors that no command, search or workload calls.
 ALLOWED = {"EigenspaceBasis.member", "SparseFunction.constant"}
+# The seconds a search took, a measurement rather than a value it computes.
+ALLOWED_FLOATS = ["minsupport.py SearchStats.__init__: 0.0"]
 
 
 def _parse(path):
@@ -65,6 +70,20 @@ def _unused_imports(tree) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def _float_arithmetic(node, scope=""):
+    """Each true division, float or round call and float literal under node, as
+    'scope: what', where scope names the definitions that enclose it."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Div):
+            yield f"{scope}: /"
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id in ("float", "round"):
+            yield f"{scope}: {sub.func.id}()"
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, float):
+            yield f"{scope}: {sub.value!r}"
+        named = isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _float_arithmetic(sub, f"{scope}.{sub.name}".lstrip(".") if named else scope)
+
+
 def test_every_public_name_in_src_has_a_caller_outside_the_tests():
     uncalled = _uncalled([_parse(p) for p in SRC], [_parse(p) for p in PERFBENCH])
     # an allowed name that gains a caller leaves the allow-list
@@ -87,3 +106,16 @@ def test_the_scan_flags_a_name_only_its_own_body_references_and_an_unused_import
     assert _uncalled([lib], [caller]) == {"recursive", "Box.get"}
     assert _uncalled([lib], []) == {"recursive", "Box", "Box.get", "Box.put"}
     assert _unused_imports(lib) == ["math", "brief"]
+
+
+def test_src_has_no_float_arithmetic():
+    found = [f"{p.name} {what}" for p in SRC for what in _float_arithmetic(_parse(p))]
+    assert found == ALLOWED_FLOATS
+
+
+def test_the_float_scan_flags_division_float_and_round_calls_and_float_literals():
+    lib = ast.parse(
+        "def f(x):\n    x /= 2\n    return x // 3, float(x), round(x)\n"
+        "class C:\n    def g(self, t=0.5):\n        return t / 1\n"
+    )
+    assert list(_float_arithmetic(lib)) == ["f: /", "f: float()", "f: round()", "C.g: 0.5", "C.g: /"]
